@@ -2,7 +2,7 @@
 // QueryService over ONE shared disk-backed, compressed ColumnBm — the
 // paper's §4.3 claim that ColumnBM is designed for many concurrent queries
 // reusing each other's I/O, measured end to end. Each session runs a
-// rotation of the disk-capable mix (Q1/Q3/Q6/Q14), width 1, so concurrency
+// rotation of the lineitem-scan mix (Q1/Q3/Q6/Q14), width 1, so concurrency
 // comes purely from sessions.
 //
 // Queries are submitted as QueryRequests — the serving layer's one request
@@ -89,11 +89,13 @@ int main() {
   // computes the serial reference results; later passes are pool-warm, so
   // serial and concurrent runs see the same storage state.
   ColumnBm bm(ColumnBm::Options{.disk_dir = dir});
-  std::unique_ptr<Table> ref[23];
-  for (int q : kMix) {
+  auto run_disk = [&](int q) {
     ExecContext ctx;
-    ref[q] = RunX100QueryDisk(q, &ctx, *db, &bm, /*compress=*/true);
-  }
+    ctx.blocks = {&bm, db.get(), /*compress=*/true};
+    return RunX100Query(q, &ctx, *db);
+  };
+  std::unique_ptr<Table> ref[23];
+  for (int q : kMix) ref[q] = run_disk(q);
 
   const int kMaxSessions = 16;
   const int total_queries = kMaxSessions * rounds;
@@ -103,9 +105,7 @@ int main() {
   for (int s = 0; s < kMaxSessions; s++) {
     for (int r = 0; r < rounds; r++) {
       int q = kMix[(s + r) % kMixSize];
-      ExecContext ctx;
-      std::unique_ptr<Table> res =
-          RunX100QueryDisk(q, &ctx, *db, &bm, /*compress=*/true);
+      std::unique_ptr<Table> res = run_disk(q);
       if (!SameTables(*ref[q], *res)) {
         std::fprintf(stderr, "serial rerun of q%d diverged\n", q);
         return 1;

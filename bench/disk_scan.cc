@@ -49,11 +49,16 @@ int main() {
               "cold MB/s", "warm MB/s", "pf hit");
 
   for (int q : {1, 6}) {
+    // The query with its lineitem scan served from `bm`'s blocks.
+    auto run = [&](ColumnBm* bm) {
+      ExecContext ctx;
+      ctx.blocks = {bm, db.get()};
+      RunX100Query(q, &ctx, *db);
+    };
     // Populate the chunk files once; the first disk scan stores them.
     {
       ColumnBm writer(ColumnBm::Options{.disk_dir = dir});
-      ExecContext ctx;
-      RunX100QueryDisk(q, &ctx, *db, &writer);
+      run(&writer);
     }
 
     // Cold: fresh pool per rep, so every rep re-reads from disk. Prefetch
@@ -62,8 +67,7 @@ int main() {
     int64_t bytes_per_run = 0;
     RepSet cold = MeasureReps(reps, [&] {
       ColumnBm bm(ColumnBm::Options{.disk_dir = dir});
-      ExecContext ctx;
-      RunX100QueryDisk(q, &ctx, *db, &bm);
+      run(&bm);
       bytes_per_run = bm.bytes_read();
     });
     MetricsSnapshot after = MetricsRegistry::Get().Snapshot();
@@ -78,14 +82,8 @@ int main() {
 
     // Warm: one instance, one priming pass, then timed pool-resident scans.
     ColumnBm bm(ColumnBm::Options{.disk_dir = dir});
-    {
-      ExecContext ctx;
-      RunX100QueryDisk(q, &ctx, *db, &bm);
-    }
-    RepSet warm = MeasureReps(reps, [&] {
-      ExecContext ctx;
-      RunX100QueryDisk(q, &ctx, *db, &bm);
-    });
+    run(&bm);
+    RepSet warm = MeasureReps(reps, [&] { run(&bm); });
 
     double mb = static_cast<double>(bytes_per_run) / 1e6;
     double cold_rate = mb / cold.Best();

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/profiling.h"
@@ -58,18 +59,25 @@ int main(int argc, char** argv) {
     ExecContext ctx;
     AlgebraParser parser(&ctx, *db);
     std::string error;
-    std::unique_ptr<Operator> op = parser.Parse(plan_text, &error);
+    std::string text = std::move(plan_text);
     plan_text.clear();
-    if (op == nullptr) {
-      std::printf("parse error: %s\n\n", error.c_str());
-      continue;
+    // Bind errors (unknown column, wrong arity, no primitive) throw
+    // std::invalid_argument from plan construction or execution.
+    try {
+      std::unique_ptr<Operator> op = parser.Parse(text, &error);
+      if (op == nullptr) {
+        std::printf("parse error: %s\n\n", error.c_str());
+        continue;
+      }
+      uint64_t t0 = NowNanos();
+      std::unique_ptr<Table> result = RunPlan(std::move(op), "result");
+      double ms = (NowNanos() - t0) / 1e6;
+      std::printf("%s(%lld rows, %.1f ms)\n\n",
+                  FormatTable(*result, 40).c_str(),
+                  static_cast<long long>(result->num_rows()), ms);
+    } catch (const std::exception& e) {
+      std::printf("error: %s\n\n", e.what());
     }
-    uint64_t t0 = NowNanos();
-    std::unique_ptr<Table> result = RunPlan(std::move(op), "result");
-    double ms = (NowNanos() - t0) / 1e6;
-    std::printf("%s(%lld rows, %.1f ms)\n\n",
-                FormatTable(*result, 40).c_str(),
-                static_cast<long long>(result->num_rows()), ms);
   }
   return 0;
 }

@@ -235,7 +235,13 @@ class ParserImpl {
     const Table* table = catalog_.Find(name);
     if (table == nullptr) Fail("unknown table '" + name + "'");
     ScanSpec spec;
-    while (Accept(Token::Kind::kSymbol, ",")) spec.cols.push_back(Ident());
+    while (Accept(Token::Kind::kSymbol, ",")) {
+      std::string col = Ident();
+      if (table->schema().Find(col) < 0) {
+        Fail("unknown column '" + col + "' in table '" + name + "'");
+      }
+      spec.cols.push_back(col);
+    }
     if (spec.cols.empty()) {
       // All declared (non-index) columns.
       for (const Field& f : table->schema().fields()) {

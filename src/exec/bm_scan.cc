@@ -165,12 +165,6 @@ BmScanOp::BmScanOp(ExecContext* ctx, ColumnBm* bm, const Table& table,
   for (const std::string& name : spec_.cols) {
     int ci = table.ColumnIndex(name);
     const Column& col = table.column(ci);
-    if (col.type() == TypeId::kStr && !col.is_enum()) {
-      throw std::invalid_argument(
-          "BmScanOp: column '" + name + "' of table '" + table.name() +
-          "' is a non-enum string column; its heap pointers are not a disk "
-          "format — enum-encode it (Table::EnumEncode) to scan via ColumnBM");
-    }
     col_idx_.push_back(ci);
     Field f;
     f.name = name;
@@ -220,6 +214,13 @@ void BmScanOp::Open() {
     }
     ColState st;
     st.width = TypeWidth(col.storage_type());
+    // Non-enum strings are heap pointers, not a disk format: they stay
+    // resident and Next() copies them from the in-memory fragment.
+    st.resident = col.type() == TypeId::kStr && !col.is_enum();
+    if (st.resident) {
+      cols_.push_back(std::move(st));
+      continue;
+    }
     st.compressed = spec_.compress && IsIntegral(col.storage_type());
     std::string suffix = ".plain";
     if (st.compressed) {
@@ -463,11 +464,22 @@ VectorBatch* BmScanOp::Next() {
       }
       int n =
           static_cast<int>(std::min<int64_t>(ctx_->vector_size, remaining));
+      int64_t lo = pos_;
       for (int c = 0; c < static_cast<int>(cols_.size()); c++) {
-        bool ok = FillColumn(c, static_cast<char*>(batch_.column(c).data()), n);
+        char* dst = static_cast<char*>(batch_.column(c).data());
+        if (cols_[c].resident) {
+          // Fragment rows below the bound taken at Open() are immutable
+          // (the same read ScanOp does under a pinned snapshot).
+          const char* src =
+              static_cast<const char*>(table_.column(col_idx_[c]).raw());
+          size_t w = cols_[c].width;
+          std::memcpy(dst, src + static_cast<size_t>(lo) * w,
+                      static_cast<size_t>(n) * w);
+          continue;
+        }
+        bool ok = FillColumn(c, dst, n);
         X100_CHECK(ok);
       }
-      int64_t lo = pos_;
       pos_ += n;
       int count = CompactDeleted(lo, lo + n, n);
       if (count == 0) continue;  // fully deleted window; try the next one

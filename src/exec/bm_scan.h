@@ -49,12 +49,12 @@ struct BmScanSpec {
 /// manager (optionally FOR-compressed, optionally real disk files behind the
 /// bounded buffer pool) and sliced into vectors at the RAM/cache boundary.
 ///
-/// Restrictions of the disk image: the table must be a pure frozen fragment
-/// (no deltas, no deletes — ColumnBM stores immutable fragments, §4.3) and
-/// non-enum string columns are not blockable (their heap pointers are not a
-/// disk format); enum-compressed strings work via their code columns. The
-/// constructor throws std::invalid_argument with a precise message when the
-/// table violates these.
+/// Restriction of the disk image: the table must be a pure frozen fragment
+/// (no deltas, no deletes — ColumnBM stores immutable fragments, §4.3); the
+/// constructor throws std::invalid_argument with a precise message when it
+/// is not. Enum-compressed strings are blocked as their code columns.
+/// Non-enum string columns are heap pointers, not a disk format: they stay
+/// resident, and each vector copies them from the in-memory fragment.
 ///
 /// MVCC exception: when the ExecContext carries a pinned snapshot for the
 /// table, deltas and deletes are allowed — the frozen fragment still comes
@@ -108,6 +108,7 @@ class BmScanOp : public Operator {
 
   struct ColState {
     std::string file;
+    bool resident = false;  // non-enum string: read from the RAM fragment
     bool compressed = false;
     size_t width = 0;
     int64_t num_blocks = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "exec/trace.h"
 #include "primitives/fused.h"
@@ -44,7 +45,9 @@ TypeId CommonType(TypeId a, TypeId b) {
   b = PrimType(b);
   if (a == b) return a;
   if (a == TypeId::kStr || b == TypeId::kStr) {
-    X100_CHECK(a == b);  // no implicit string conversions
+    throw std::invalid_argument("bind error: no implicit conversion between " +
+                                std::string(TypeName(a)) + " and " +
+                                TypeName(b));
   }
   TypeId aa = ArithType(a), bb = ArithType(b);
   if (aa == TypeId::kF64 || bb == TypeId::kF64) return TypeId::kF64;
@@ -59,8 +62,7 @@ bool IsComparisonFn(const std::string& fn) {
 
 /// Op kind of a call node the chain fuser can absorb, checked against the
 /// node's explicit arity (a malformed `sub` with one argument must not be
-/// treated as a binary candidate — it falls through to the generic path's
-/// arity CHECK).
+/// treated as a binary candidate — BindCall rejects it as a bind error).
 std::optional<fused::OpK> FusibleOp(const std::string& fn, size_t arity) {
   using fused::OpK;
   if (arity == 2) {
@@ -167,6 +169,10 @@ const char** Program::StoreStrConst(const std::string& s) {
   return &slot.sptr;
 }
 
+void Program::Fail(const std::string& what) const {
+  throw std::invalid_argument("bind error in " + label_ + ": " + what);
+}
+
 PrimitiveStats* Program::Stats(const std::string& prim_name) {
   if (ctx_->profiler == nullptr) return nullptr;
   return ctx_->profiler->GetStats(prim_name);
@@ -214,7 +220,7 @@ ValueNode Program::Cast(ValueNode node, TypeId to) {
   std::string name = std::string("map_cast_") + PrimTypeName(to) + "_" +
                      PrimTypeName(node.type) + "_col";
   const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
-  X100_CHECK(prim != nullptr);
+  if (prim == nullptr) Fail("no primitive '" + name + "'");
 
   MapStep step;
   step.prim = prim;
@@ -503,10 +509,7 @@ ValueNode Program::BindValue(const Schema& input, const Expr& expr) {
     case Expr::Kind::kColumn: {
       int ci = input.Find(expr.name());
       if (ci < 0) {
-        std::fprintf(stderr, "bind error in %s: no column '%s' in %s\n",
-                     label_.c_str(), expr.name().c_str(),
-                     input.ToString().c_str());
-        X100_CHECK(false);
+        Fail("no column '" + expr.name() + "' in " + input.ToString());
       }
       const Field& f = input.field(ci);
       node.ref = {ArgRef::Src::kBatchCol, ci, nullptr, true, TypeWidth(f.type)};
@@ -530,7 +533,24 @@ ValueNode Program::BindValue(const Schema& input, const Expr& expr) {
 
 ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   const std::string& fn = expr.name();
-  X100_CHECK(!IsComparisonFn(fn) && fn != "and" && fn != "or");
+  if (IsComparisonFn(fn) || fn == "and" || fn == "or") {
+    Fail("predicate '" + fn + "' used as a value");
+  }
+  // Arity of the function forms below (binary arithmetic when unlisted).
+  size_t arity = 2;
+  if (fn == "fused_submul" || fn == "fused_addmul" || fn == "mahalanobis") {
+    arity = 3;
+  } else if (fn == "sqrt" || fn == "square" || fn == "neg" || fn == "dbl" ||
+             fn == "i64" || fn == "year" || fn == "widen") {
+    arity = 1;
+  } else if (fn != "add" && fn != "sub" && fn != "mul" && fn != "div") {
+    Fail("unknown function '" + fn + "'");
+  }
+  if (expr.args().size() != arity) {
+    Fail("'" + fn + "' takes " + std::to_string(arity) + " argument" +
+         (arity == 1 ? "" : "s") + ", got " +
+         std::to_string(expr.args().size()));
+  }
 
   // Adaptive chain fusion (§4.2 generalized): probe for a 2..4-node
   // arithmetic chain rooted here whose pre-generated kernel exists in the
@@ -544,7 +564,6 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   // Compound primitives: fused_submul(V,a,b) = (V-a)*b; fused_addmul(V,a,b) =
   // (V+a)*b; mahalanobis(a,b,c) = (a-b)^2/c. All f64 (§4.2).
   if (fn == "fused_submul" || fn == "fused_addmul" || fn == "mahalanobis") {
-    X100_CHECK(expr.args().size() == 3);
     std::vector<ValueNode> args;
     for (const ExprPtr& a : expr.args()) {
       args.push_back(Cast(Decode(BindValue(input, *a)), TypeId::kF64));
@@ -553,11 +572,16 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
     std::string name;
     if (fn == "mahalanobis") {
       name = "map_mahalanobis_f64";
-      X100_CHECK(args[0].ref.is_col && args[1].ref.is_col && args[2].ref.is_col);
+      if (!(args[0].ref.is_col && args[1].ref.is_col && args[2].ref.is_col)) {
+        Fail("mahalanobis takes three column arguments");
+      }
       step.args = {args[0].ref, args[1].ref, args[2].ref};
     } else {
       name = "map_fused_" + fn.substr(6) + "_f64";
-      X100_CHECK(!args[0].ref.is_col && args[1].ref.is_col && args[2].ref.is_col);
+      if (!(!args[0].ref.is_col && args[1].ref.is_col &&
+            args[2].ref.is_col)) {
+        Fail(fn + " takes a constant and two column arguments");
+      }
       step.args = {args[1].ref, args[2].ref, args[0].ref};
     }
     step.prim = PrimitiveRegistry::Get().FindMap(name);
@@ -576,15 +600,14 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   }
 
   if (fn == "sqrt" || fn == "square" || fn == "neg") {
-    X100_CHECK(expr.args().size() == 1);
     ValueNode a = Decode(BindValue(input, *expr.args()[0]));
+    if (!a.ref.is_col) Fail(fn + " takes a column argument");
     TypeId t = fn == "neg" && ArithType(a.type) == TypeId::kI64 ? TypeId::kI64
                                                                 : TypeId::kF64;
     a = Cast(a, t);
-    X100_CHECK(a.ref.is_col);
     std::string name = "map_" + fn + "_" + PrimTypeName(t) + "_col";
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
-    X100_CHECK(prim != nullptr);
+    if (prim == nullptr) Fail("no primitive '" + name + "'");
     MapStep step;
     step.prim = prim;
     step.args.push_back(a.ref);
@@ -600,16 +623,16 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
 
   // Explicit cast functions used by plans: dbl(x), i64(x).
   if (fn == "dbl" || fn == "i64") {
-    X100_CHECK(expr.args().size() == 1);
     ValueNode a = Decode(BindValue(input, *expr.args()[0]));
     return Cast(a, fn == "dbl" ? TypeId::kF64 : TypeId::kI64);
   }
 
   // year(x): calendar year of a date column.
   if (fn == "year") {
-    X100_CHECK(expr.args().size() == 1);
     ValueNode a = Decode(BindValue(input, *expr.args()[0]));
-    X100_CHECK(PrimType(a.type) == TypeId::kI32 && a.ref.is_col);
+    if (!(PrimType(a.type) == TypeId::kI32 && a.ref.is_col)) {
+      Fail("year takes a date column argument");
+    }
     std::string name = "map_year_i32_col";
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
     MapStep step;
@@ -628,17 +651,14 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   // widen(x): decode and promote to an aggregation-friendly type
   // (i32 / i64 / f64 / str); used on aggregate inputs.
   if (fn == "widen") {
-    X100_CHECK(expr.args().size() == 1);
     ValueNode a = Decode(BindValue(input, *expr.args()[0]));
     if (a.type == TypeId::kStr) return a;
     return Cast(a, ArithType(a.type));
   }
 
   // Generic binary arithmetic.
-  X100_CHECK(expr.args().size() == 2);
   const Expr& le = *expr.args()[0];
   const Expr& re = *expr.args()[1];
-  X100_CHECK(fn == "add" || fn == "sub" || fn == "mul" || fn == "div");
 
   ValueNode l = Decode(BindValue(input, le));
   ValueNode r = Decode(BindValue(input, re));
@@ -656,17 +676,15 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   } else {
     r = Cast(r, t);
   }
-  X100_CHECK(l.ref.is_col || r.ref.is_col);
+  if (!l.ref.is_col && !r.ref.is_col) {
+    Fail("'" + fn + "' of two constants");
+  }
 
   std::string name = "map_" + fn + "_" + PrimTypeName(t) +
                      (l.ref.is_col ? "_col_" : "_val_") + PrimTypeName(t) +
                      (r.ref.is_col ? "_col" : "_val");
   const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
-  if (prim == nullptr) {
-    std::fprintf(stderr, "bind error in %s: no primitive '%s'\n", label_.c_str(),
-                 name.c_str());
-    X100_CHECK(false);
-  }
+  if (prim == nullptr) Fail("no primitive '" + name + "'");
   MapStep step;
   step.prim = prim;
   step.args = {l.ref, r.ref};

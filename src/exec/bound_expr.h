@@ -77,6 +77,12 @@ class Program {
   ExecContext* ctx() { return ctx_; }
   const std::string& label() const { return label_; }
 
+  /// The caller's expression does not bind (unknown column, wrong arity, no
+  /// primitive for its operand types). That is an input error, not an engine
+  /// invariant: it throws std::invalid_argument("bind error in <label>: ..."),
+  /// which a serving session reports as a failed request.
+  [[noreturn]] void Fail(const std::string& what) const;
+
   int AllocReg(TypeId t);
   const void* StoreConst(const Value& v, TypeId physical);
   const char** StoreStrConst(const std::string& s);

@@ -1,16 +1,36 @@
 #ifndef X100_EXEC_OPERATOR_H_
 #define X100_EXEC_OPERATOR_H_
 
+#include <optional>
+
 #include "common/cancel.h"
 #include "common/config.h"
 #include "common/profiling.h"
 #include "exec/hash_table.h"
+#include "storage/compression.h"
 #include "vector/batch.h"
 
 namespace x100 {
 
+class Catalog;
+class ColumnBm;
 class QueryTrace;
 struct SnapshotSet;
+
+/// Where a query's scans of stored tables read from (§4.3: the same plan over
+/// any level of the storage hierarchy). With `bm` unset every scan reads the
+/// in-RAM fragments; with `bm` set, plan::Scan turns a scan of one of
+/// `catalog`'s tables into a ColumnBM block scan (exec/bm_scan.h) and leaves
+/// scans of anything else — materialized sub-results — in RAM.
+struct BlockSource {
+  ColumnBm* bm = nullptr;
+  /// The catalog whose tables `bm` serves (matched by table identity).
+  const Catalog* catalog = nullptr;
+  /// Codec-compress integral columns on store (BmScanSpec::compress).
+  bool compress = false;
+  /// When set (and `compress`), every block uses this codec.
+  std::optional<CodecId> codec;
+};
 
 /// Per-query execution settings shared by all operators of a plan.
 struct ExecContext {
@@ -34,9 +54,10 @@ struct ExecContext {
   /// — the EXPLAIN ANALYZE tree. Null disables per-node tracing.
   QueryTrace* trace = nullptr;
   /// Intra-query parallelism budget (the paper's Xchg route, §6). Plans that
-  /// have a parallel variant (tpch Q1/Q6) run it through an ExchangeOp with
-  /// this many workers when > 1; 1 keeps every plan single-threaded. Wired
-  /// to env X100_THREADS by the runner and benches (EnvParallelism()).
+  /// have a parallel variant (tpch Q1/Q3/Q6/Q14) run it through an
+  /// ExchangeOp with this many workers when > 1; 1 keeps every plan
+  /// single-threaded. Wired to env X100_THREADS by the runner and benches
+  /// (EnvParallelism()).
   int num_threads = 1;
   /// Per-query cancellation/deadline token (common/cancel.h), owned by the
   /// submitter (QueryService session, runner, test). Source operators and
@@ -55,6 +76,9 @@ struct ExecContext {
   /// (linear open addressing when unset); tests override it per query to
   /// cross-check the implementations for bit-identity.
   HashImpl hash_impl = EnvHashImpl();
+  /// Storage tier the plan's table scans read (RAM unless `blocks.bm` is
+  /// set). Exchange workers inherit it, so parallel plans scan blocks too.
+  BlockSource blocks;
 
   /// Per-vector cancellation poll: throws QueryCancelled when the token is
   /// tripped or its deadline passed. No-op without a token.

@@ -11,6 +11,7 @@
 // designated initializers instead of positional argument lists.
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,30 +25,11 @@
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "exec/trace.h"
+#include "storage/catalog.h"
 
 namespace x100::plan {
 
 using OpPtr = std::unique_ptr<Operator>;
-
-/// Table scan configured by a ScanSpec (columns + optional summary-index
-/// range, #rowId emission, and morsel share — see exec/scan.h).
-inline OpPtr Scan(ExecContext* ctx, const Table& t, ScanSpec spec) {
-  std::string detail = t.name();
-  if (spec.range) detail += " range:" + spec.range->col;
-  if (!spec.rowid.empty()) detail += " +rowid";
-  if (spec.morsel.num_workers > 1) {
-    detail += " morsel " + std::to_string(spec.morsel.worker) + "/" +
-              std::to_string(spec.morsel.num_workers);
-  }
-  auto s = std::make_unique<ScanOp>(ctx, t, std::move(spec));
-  return MaybeTrace(ctx, std::move(s), "Scan", std::move(detail), {});
-}
-
-/// Convenience: full-table scan of `cols`.
-inline OpPtr Scan(ExecContext* ctx, const Table& t,
-                  std::vector<std::string> cols) {
-  return Scan(ctx, t, ScanSpec{.cols = std::move(cols)});
-}
 
 /// ColumnBM block scan configured by a BmScanSpec (columns + compression,
 /// morsel share, readahead — see exec/bm_scan.h). When tracing, the scan's
@@ -72,6 +54,46 @@ inline OpPtr BmScan(ExecContext* ctx, ColumnBm* bm, const Table& t,
         static_cast<InstrumentedOperator*>(wrapped.get())->node());
   }
   return wrapped;
+}
+
+/// Table scan configured by a ScanSpec (columns + optional summary-index
+/// range, #rowId emission, and morsel share — see exec/scan.h).
+///
+/// The storage tier comes from the context, not the plan: when
+/// ExecContext::blocks serves `t` (it is one of that catalog's tables), the
+/// scan reads ColumnBM blocks through BmScan. There the range is only a
+/// pruning hint the block path does without — the plan's Select applies the
+/// exact predicate — and #rowId emission throws std::invalid_argument.
+inline OpPtr Scan(ExecContext* ctx, const Table& t, ScanSpec spec) {
+  const BlockSource& src = ctx->blocks;
+  if (src.bm != nullptr && src.catalog != nullptr &&
+      src.catalog->Find(t.name()) == &t) {
+    if (!spec.rowid.empty()) {
+      throw std::invalid_argument("Scan: #rowId emission (" + spec.rowid +
+                                  ") is not supported on block scans of '" +
+                                  t.name() + "'");
+    }
+    return BmScan(ctx, src.bm, t,
+                  {.cols = std::move(spec.cols),
+                   .compress = src.compress,
+                   .codec = src.codec,
+                   .morsel = spec.morsel});
+  }
+  std::string detail = t.name();
+  if (spec.range) detail += " range:" + spec.range->col;
+  if (!spec.rowid.empty()) detail += " +rowid";
+  if (spec.morsel.num_workers > 1) {
+    detail += " morsel " + std::to_string(spec.morsel.worker) + "/" +
+              std::to_string(spec.morsel.num_workers);
+  }
+  auto s = std::make_unique<ScanOp>(ctx, t, std::move(spec));
+  return MaybeTrace(ctx, std::move(s), "Scan", std::move(detail), {});
+}
+
+/// Convenience: full-table scan of `cols`.
+inline OpPtr Scan(ExecContext* ctx, const Table& t,
+                  std::vector<std::string> cols) {
+  return Scan(ctx, t, ScanSpec{.cols = std::move(cols)});
 }
 
 inline OpPtr Select(ExecContext* ctx, OpPtr child, ExprPtr pred) {

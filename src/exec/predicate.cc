@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "exec/bound_expr.h"
 
@@ -47,8 +48,9 @@ struct PredicateEvaluator::PredNode {
   PrimitiveStats* stats = nullptr;
   size_t bytes_per_tuple = 0;
 
-  // Scratch selection buffers (AND ping-pong, OR left/right).
-  std::unique_ptr<int[]> buf_a, buf_b;
+  // Scratch selection buffers (AND ping-pong; OR accumulator, child output
+  // and merge target).
+  std::unique_ptr<int[]> buf_a, buf_b, buf_c;
 };
 
 PredicateEvaluator::PredicateEvaluator(ExecContext* ctx, const Schema& input,
@@ -67,11 +69,13 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
   ExecContext* ctx = program_.ctx();
   auto node = std::make_unique<PredNode>();
 
-  X100_CHECK(e.kind() == Expr::Kind::kCall);
+  if (e.kind() != Expr::Kind::kCall) {
+    program_.Fail("predicate '" + e.Signature() + "' is not a comparison");
+  }
   const std::string& fn = e.name();
 
   if (fn == "not") {
-    X100_CHECK(e.args().size() == 1);
+    if (e.args().size() != 1) program_.Fail("'not' takes 1 argument");
     node->kind = PredNode::Kind::kNot;
     node->children.push_back(BindPred(input, *e.args()[0]));
     node->buf_a = std::make_unique<int[]>(ctx->vector_size);
@@ -91,10 +95,16 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
     }
     node->buf_a = std::make_unique<int[]>(ctx->vector_size);
     node->buf_b = std::make_unique<int[]>(ctx->vector_size);
+    if (node->kind == PredNode::Kind::kOr) {
+      node->buf_c = std::make_unique<int[]>(ctx->vector_size);
+    }
     return node;
   }
 
-  X100_CHECK(IsCmp(fn) && e.args().size() == 2);
+  if (!IsCmp(fn) || e.args().size() != 2) {
+    program_.Fail("predicate '" + e.Signature() +
+                  "' is not a two-argument comparison");
+  }
   const Expr* le = e.args()[0].get();
   const Expr* re = e.args()[1].get();
   std::string op = fn;
@@ -165,7 +175,9 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
   r = program_.Decode(r);
   TypeId t;
   if (l.type == TypeId::kStr || r.type == TypeId::kStr) {
-    X100_CHECK(l.type == TypeId::kStr && r.type == TypeId::kStr);
+    if (l.type != r.type) {
+      program_.Fail("'" + op + "' of a string and a number");
+    }
     t = TypeId::kStr;
   } else if (l.type == r.type) {
     t = l.type;  // same-type compares exist for all widths
@@ -187,17 +199,14 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
   };
   l = unify(l, le);
   r = unify(r, re);
-  X100_CHECK(l.ref.is_col);
+  if (!l.ref.is_col) program_.Fail("'" + op + "' of two constants");
 
   node->kind = PredNode::Kind::kCmp;
   std::string name = std::string("select_") + op + "_" + PrimTypeName(t) +
                      "_col_" + PrimTypeName(t) + (r.ref.is_col ? "_col" : "_val");
   if (program_.ctx()->predicated_selects && t != TypeId::kStr) name += "_pred";
   node->prim = PrimitiveRegistry::Get().FindSelect(name);
-  if (node->prim == nullptr) {
-    std::fprintf(stderr, "bind error: no select primitive '%s'\n", name.c_str());
-    X100_CHECK(false);
-  }
+  if (node->prim == nullptr) program_.Fail("no primitive '" + name + "'");
   node->args[0] = l.ref;
   node->args[1] = r.ref;
   node->stats = program_.Stats(name);
@@ -268,27 +277,30 @@ int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
     }
     case PredNode::Kind::kOr: {
       // Evaluate children against the same input; union the ascending
-      // outputs pairwise (buf_a accumulates).
+      // outputs pairwise. `sel` may be `out_sel` itself (SelectOp filters in
+      // place), so the union builds up in scratch and out_sel is written
+      // only after the last child has read its input.
       int* acc = node->buf_a.get();
       int* tmp = node->buf_b.get();
+      int* merged = node->buf_c.get();
       int acc_n = 0;
       for (size_t c = 0; c < node->children.size(); c++) {
         int k = EvalNode(node->children[c].get(), batch, sel, n, tmp);
-        // Merge-union tmp[0..k) into acc[0..acc_n) -> out_sel, then swap.
+        // Merge-union acc[0..acc_n) and tmp[0..k) into merged.
         int i = 0, j = 0, m = 0;
         while (i < acc_n && j < k) {
           if (acc[i] < tmp[j]) {
-            out_sel[m++] = acc[i++];
+            merged[m++] = acc[i++];
           } else if (acc[i] > tmp[j]) {
-            out_sel[m++] = tmp[j++];
+            merged[m++] = tmp[j++];
           } else {
-            out_sel[m++] = acc[i++];
+            merged[m++] = acc[i++];
             j++;
           }
         }
-        while (i < acc_n) out_sel[m++] = acc[i++];
-        while (j < k) out_sel[m++] = tmp[j++];
-        std::memcpy(acc, out_sel, sizeof(int) * static_cast<size_t>(m));
+        while (i < acc_n) merged[m++] = acc[i++];
+        while (j < k) merged[m++] = tmp[j++];
+        std::swap(acc, merged);
         acc_n = m;
       }
       std::memcpy(out_sel, acc, sizeof(int) * static_cast<size_t>(acc_n));

@@ -58,8 +58,9 @@ struct ServerMetrics {
 }  // namespace
 
 /// Resolves a (pre-validated) request into its materialized result: a
-/// hand-translated TPC-H plan on the RAM or disk engine, or parsed algebra
-/// text. Runs on the session's driver thread; throws to report failure.
+/// hand-translated TPC-H plan or parsed algebra text, scanning RAM
+/// fragments or (kDisk) ColumnBM blocks. Runs on the session's driver
+/// thread; throws to report failure.
 static std::unique_ptr<Table> ExecuteRequest(const QueryRequest& req,
                                              EngineCache* engines,
                                              ExecContext* ctx) {
@@ -82,12 +83,11 @@ static std::unique_ptr<Table> ExecuteRequest(const QueryRequest& req,
     pin.snaps = eng.store->PinAll();
     ctx->snapshots = pin.snaps.get();
   }
-  if (q > 0) {
-    if (req.engine == QueryEngine::kDisk) {
-      return RunX100QueryDisk(q, ctx, *eng.db, eng.bm, req.compress);
-    }
-    return RunX100Query(q, ctx, *eng.db);
+  // The disk engine runs the same plans; only the scan source differs.
+  if (req.engine == QueryEngine::kDisk) {
+    ctx->blocks = {eng.bm, eng.db, req.compress};
   }
+  if (q > 0) return RunX100Query(q, ctx, *eng.db);
   AlgebraParser parser(ctx, *eng.db);
   std::string error;
   std::unique_ptr<Operator> plan = parser.Parse(req.query, &error);

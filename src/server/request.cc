@@ -34,13 +34,6 @@ std::string QueryRequest::Validate() const {
   if (fuse < -1 || fuse > 1) {
     return "fuse out of range [-1, 1]";
   }
-  if (engine == QueryEngine::kDisk) {
-    int q = TpchQueryNumber();
-    if (q != 1 && q != 3 && q != 6 && q != 14) {
-      return "disk engine serves only TPC-H q1/q3/q6/q14, not '" + query +
-             "'";
-    }
-  }
   return "";
 }
 

@@ -37,8 +37,8 @@ struct QueryRequest {
   /// hand-translated TPC-H plan; any other text is X100 algebra for
   /// exec/algebra_parser.h (Figure 9 notation).
   std::string query;
-  /// kDisk runs the ColumnBM block path — TPC-H Q1/Q3/Q6/Q14 only, the
-  /// queries with disk plans; Validate() rejects the rest.
+  /// kDisk runs the same plan (any of q1..q22, or algebra text) with its
+  /// table scans served from ColumnBM blocks (ExecContext::blocks).
   QueryEngine engine = QueryEngine::kRam;
   /// TPC-H scale factor the query runs against; the service lazily dbgens
   /// (or is seeded with) one engine per SF. Capped by Validate() so a
@@ -66,10 +66,9 @@ struct QueryRequest {
   int TpchQueryNumber() const;
 
   /// Shape check without touching an engine: "" when plausible, else why
-  /// not (empty query, SF/width/vector-size out of range, disk engine
-  /// without a disk plan). Algebra text is only syntax-checked at
-  /// execution, against the target catalog; parse errors surface as a
-  /// failed session.
+  /// not (empty query, SF/width/vector-size/fuse out of range). Algebra
+  /// text is only syntax-checked at execution, against the target catalog;
+  /// parse and bind errors surface as a failed session.
   std::string Validate() const;
 };
 

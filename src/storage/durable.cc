@@ -245,8 +245,11 @@ Status DurableStore::Apply(const WalRecord& rec) {
 Status DurableStore::Recover() {
   X100_CHECK(mvcc_.empty());
   // Reserve enough delta headroom that steady-state appends between merges
-  // never hit the capacity fence.
-  int64_t reserve = opts_.merge_threshold_rows * 2;
+  // never hit the capacity fence — but no more than the default threshold's
+  // worth up front: a threshold raised to turn merges off must not reserve
+  // memory for rows that never arrive. Past the reservation, MvccTable
+  // doubles its delta capacity behind the fence.
+  int64_t reserve = std::min(opts_.merge_threshold_rows, kDefaultMergeRows) * 2;
   for (const std::string& name : catalog_->TableNames()) {
     Table* t = catalog_->Find(name);
     if (!t->frozen()) t->Freeze();

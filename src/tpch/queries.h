@@ -2,12 +2,10 @@
 #define X100_TPCH_QUERIES_H_
 
 #include <memory>
-#include <optional>
 
 #include "exec/operator.h"
 #include "mil/mil_db.h"
 #include "storage/catalog.h"
-#include "storage/compression.h"
 #include "tuple/tuple_profile.h"
 
 namespace x100 {
@@ -18,19 +16,11 @@ inline constexpr int kNumTpchQueries = 22;
 /// Table in the query's output column order, already sorted per the query's
 /// ORDER BY (with deterministic tiebreaks so engines can be compared).
 /// All 22 queries are hand-translated to X100 algebra, as in §5; SQL
-/// subqueries become materialized sub-plans.
+/// subqueries become materialized sub-plans. The plans do not name a storage
+/// tier: with ctx->blocks serving `db` they scan ColumnBM blocks instead of
+/// RAM fragments, with bit-identical serial results. With ctx->num_threads
+/// > 1, Q1, Q3, Q6 and Q14 fan their lineitem pipeline out over an Exchange.
 std::unique_ptr<Table> RunX100Query(int q, ExecContext* ctx, const Catalog& db);
-
-/// Disk-backed variants of Q1, Q3, Q6 and Q14: the same plans fed from
-/// ColumnBM blocks through `bm` (optionally codec-compressed; `codec` pins
-/// one codec for every block, else each block gets the cheapest by sampled
-/// trial-encode) instead of in-RAM fragments. With ctx->num_threads > 1 the
-/// block scans run morsel-parallel under an Exchange. Results are
-/// bit-identical to RunX100Query(q, ...).
-class ColumnBm;
-std::unique_ptr<Table> RunX100QueryDisk(
-    int q, ExecContext* ctx, const Catalog& db, ColumnBm* bm,
-    bool compress = false, std::optional<CodecId> codec = std::nullopt);
 
 /// Same queries hand-translated to MIL column algebra (full materialization).
 /// Result schema/order matches RunX100Query for cross-checking.

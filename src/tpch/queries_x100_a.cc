@@ -151,25 +151,46 @@ TablePtr Q2(ExecContext* ctx, const Catalog& db) {
 }
 
 // ---- Q3: shipping priority ---------------------------------------------------
+//
+// With ctx->num_threads > 1 the lineitem pipeline below the aggregation runs
+// per morsel under an Exchange, each worker pre-aggregating its share; one
+// HashAggr above the exchange merges the partials.
 TablePtr Q3(ExecContext* ctx, const Catalog& db) {
-  auto li = Scan(ctx, db.Get("lineitem"),
-                 {"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate",
-                  kJiOrders});
-  li = Select(ctx, std::move(li), Gt(Col("l_shipdate"), LitDate("1995-03-15")));
-  li = Fetch1Join(ctx, std::move(li), db.Get("orders"), kJiOrders,
-                  {{"o_orderdate", "o_orderdate"},
-                   {"o_shippriority", "o_shippriority"},
-                   {kJiCustomer, "ji_c"}});
-  li = Select(ctx, std::move(li), Lt(Col("o_orderdate"), LitDate("1995-03-15")));
-  li = Fetch1Join(ctx, std::move(li), db.Get("customer"), "ji_c",
-                  {{"c_mktsegment", "c_mktsegment"}});
-  li = Select(ctx, std::move(li), Eq(Col("c_mktsegment"), LitStr("BUILDING")));
-  li = Project(ctx, std::move(li),
-               NE(Pass("l_orderkey"), Pass("o_orderdate"), Pass("o_shippriority"),
-                  As("rev", Rev())));
-  li = HashAggr(ctx, std::move(li),
-                {"l_orderkey", "o_orderdate", "o_shippriority"},
-                AG(Sum("revenue", Col("rev"))));
+  const std::vector<std::string> cols = {"l_orderkey", "l_extendedprice",
+                                         "l_discount", "l_shipdate",
+                                         kJiOrders};
+  const std::vector<std::string> groups = {"l_orderkey", "o_orderdate",
+                                           "o_shippriority"};
+  auto aggrs = [] { return AG(Sum("revenue", Col("rev"))); };
+  const Table& t = db.Get("lineitem");
+  // Shipdate filter, the two Fetch1Joins, mktsegment filter, revenue.
+  auto body = [&](ExecContext* c, OpPtr s) {
+    s = Select(c, std::move(s), Gt(Col("l_shipdate"), LitDate("1995-03-15")));
+    s = Fetch1Join(c, std::move(s), db.Get("orders"), kJiOrders,
+                   {{"o_orderdate", "o_orderdate"},
+                    {"o_shippriority", "o_shippriority"},
+                    {kJiCustomer, "ji_c"}});
+    s = Select(c, std::move(s), Lt(Col("o_orderdate"), LitDate("1995-03-15")));
+    s = Fetch1Join(c, std::move(s), db.Get("customer"), "ji_c",
+                   {{"c_mktsegment", "c_mktsegment"}});
+    s = Select(c, std::move(s), Eq(Col("c_mktsegment"), LitStr("BUILDING")));
+    return Project(c, std::move(s),
+                   NE(Pass("l_orderkey"), Pass("o_orderdate"),
+                      Pass("o_shippriority"), As("rev", Rev())));
+  };
+
+  OpPtr li;
+  if (ctx->num_threads > 1) {
+    li = Exchange(ctx, ctx->num_threads,
+                  [&](ExecContext* wctx, int w, int n) {
+                    auto s = Scan(wctx, t, {.cols = cols, .morsel = {w, n}});
+                    return HashAggr(wctx, body(wctx, std::move(s)), groups,
+                                    aggrs());
+                  });
+    li = HashAggr(ctx, std::move(li), groups, MergeAggrSpecs(aggrs()));
+  } else {
+    li = HashAggr(ctx, body(ctx, Scan(ctx, t, cols)), groups, aggrs());
+  }
   li = Project(ctx, std::move(li),
                NE(Pass("l_orderkey"), Pass("revenue"), Pass("o_orderdate"),
                   Pass("o_shippriority")));

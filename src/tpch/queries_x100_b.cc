@@ -80,20 +80,44 @@ TablePtr Q13(ExecContext* ctx, const Catalog& db) {
 }
 
 // ---- Q14: promotion effect -----------------------------------------------------
+//
+// The serial plan materializes the filtered and joined (p_type, rev) rows.
+// With ctx->num_threads > 1 each worker pre-aggregates rev per p_type over
+// its lineitem morsel, so only group partials cross the Exchange.
 TablePtr Q14(ExecContext* ctx, const Catalog& db) {
   double lo = ParseDate("1995-09-01"), hi = ParseDate("1995-10-01") - 1;
-  auto li = Scan(ctx, db.Get("lineitem"),
-                 {.cols = {"l_shipdate", "l_extendedprice", "l_discount",
-                           kJiPart},
-                  .range = ScanSpec::Range{"l_shipdate", lo, hi}});
-  li = Select(ctx, std::move(li),
-              And(Ge(Col("l_shipdate"), LitDate("1995-09-01")),
-                  Lt(Col("l_shipdate"), LitDate("1995-10-01"))));
-  li = Fetch1Join(ctx, std::move(li), db.Get("part"), kJiPart,
-                  {{"p_type", "p_type"}});
-  TablePtr base = RunPlan(
-      Project(ctx, std::move(li), NE(Pass("p_type"), As("rev", Rev()))),
-      "q14_base");
+  const std::vector<std::string> cols = {"l_shipdate", "l_extendedprice",
+                                         "l_discount", kJiPart};
+  const Table& t = db.Get("lineitem");
+  auto body = [&](ExecContext* c, OpPtr s) {
+    s = Select(c, std::move(s),
+               And(Ge(Col("l_shipdate"), LitDate("1995-09-01")),
+                   Lt(Col("l_shipdate"), LitDate("1995-10-01"))));
+    s = Fetch1Join(c, std::move(s), db.Get("part"), kJiPart,
+                   {{"p_type", "p_type"}});
+    return Project(c, std::move(s), NE(Pass("p_type"), As("rev", Rev())));
+  };
+
+  TablePtr base;
+  if (ctx->num_threads > 1) {
+    auto aggrs = [] { return AG(Sum("rev", Col("rev"))); };
+    OpPtr op = Exchange(
+        ctx, ctx->num_threads, [&](ExecContext* wctx, int w, int n) {
+          auto s = Scan(wctx, t,
+                        {.cols = cols,
+                         .range = ScanSpec::Range{"l_shipdate", lo, hi},
+                         .morsel = {w, n}});
+          return HashAggr(wctx, body(wctx, std::move(s)), {"p_type"},
+                          aggrs());
+        });
+    op = HashAggr(ctx, std::move(op), {"p_type"}, MergeAggrSpecs(aggrs()));
+    base = RunPlan(std::move(op), "q14_base");
+  } else {
+    OpPtr op = Scan(ctx, t,
+                    {.cols = cols,
+                     .range = ScanSpec::Range{"l_shipdate", lo, hi}});
+    base = RunPlan(body(ctx, std::move(op)), "q14_base");
+  }
 
   TablePtr allt =
       RunPlan(HashAggr(ctx, Scan(ctx, *base, {"rev"}), {},

@@ -546,7 +546,7 @@ TEST(ColumnBmDiskTest, TinyPoolForcesEvictionButStaysCorrect) {
   EXPECT_LE(bm.pool()->resident_bytes(), bm.pool()->budget_bytes());
 }
 
-// ---- Acceptance: Q1/Q6 memory vs disk vs parallel disk ---------------------
+// ---- Acceptance: one plan per query over RAM and over ColumnBM blocks ------
 
 class DiskQueryTest : public ::testing::Test {
  protected:
@@ -560,38 +560,58 @@ class DiskQueryTest : public ::testing::Test {
 
 Catalog* DiskQueryTest::db_ = nullptr;
 
-TEST_F(DiskQueryTest, Q1AndQ6MatchAcrossBackends) {
-  for (int q : {1, 6}) {
-    for (bool compress : {false, true}) {
-      ScopedTempDir dir("x100_bm_test");
+TEST_F(DiskQueryTest, AllQueriesMatchAcrossBackends) {
+  // The same 22 plans, once over RAM fragments and once with the context's
+  // block source serving every catalog table from disk blocks. Serial plans
+  // are operator-for-operator identical (the block path skips summary-index
+  // pruning, but each plan's Select applies the exact predicate), so results
+  // are bit-identical (eps 0). The pool budget comes from env X100_BM_BYTES,
+  // so the CI disk job runs this sweep under eviction pressure.
+  for (bool compress : {false, true}) {
+    ScopedTempDir dir("x100_bm_test");
+    ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
+    for (int q = 1; q <= kNumTpchQueries; q++) {
+      SCOPED_TRACE("q" + std::to_string(q) + (compress ? " compress" : ""));
+      ExecContext ram_ctx;
+      std::unique_ptr<Table> ram = RunX100Query(q, &ram_ctx, *db_);
+      QueryTrace trace;
       ExecContext ctx;
-      std::unique_ptr<Table> ram = RunX100Query(q, &ctx, *db_);
+      ctx.trace = &trace;
+      ctx.blocks = {&bm, db_, compress};
+      std::unique_ptr<Table> disk = RunX100Query(q, &ctx, *db_);
+      ExpectTablesEqual(*ram, *disk, 0.0);
+      EXPECT_NE(trace.ToString().find("BmScan"), std::string::npos);
+    }
+  }
+}
 
-      // Disk-backed, cold pool: first run stores the blocks and reads them
-      // back through an empty pool. Serial plan order matches the memory
-      // plan, so results are bit-identical (eps 0).
+TEST_F(DiskQueryTest, WarmAndParallelRunsMatch) {
+  // The plans with an Exchange variant: a warm-pool rerun stays
+  // bit-identical, and 4 workers over the same disk files match within the
+  // relative tolerance the serial-vs-parallel tests use (workers
+  // partial-aggregate their morsels, so double sums change order).
+  for (int q : {1, 3, 6, 14}) {
+    for (bool compress : {false, true}) {
+      SCOPED_TRACE("q" + std::to_string(q) + (compress ? " compress" : ""));
+      ScopedTempDir dir("x100_bm_test");
+      ExecContext ram_ctx;
+      std::unique_ptr<Table> ram = RunX100Query(q, &ram_ctx, *db_);
       // Pool budget pinned (not env X100_BM_BYTES): the warm-run hit
-      // assertion below needs the working set to actually fit.
+      // assertion needs the working set to fit.
       ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path(),
                                     .pool_bytes = 64 << 20});
-      std::unique_ptr<Table> cold = RunX100QueryDisk(q, &ctx, *db_, &bm,
-                                                     compress);
+      ExecContext ctx;
+      ctx.blocks = {&bm, db_, compress};
+      std::unique_ptr<Table> cold = RunX100Query(q, &ctx, *db_);
       ExpectTablesEqual(*ram, *cold, 0.0);
-
-      // Warm pool re-run: same result, some pool hits.
-      std::unique_ptr<Table> warm = RunX100QueryDisk(q, &ctx, *db_, &bm,
-                                                     compress);
+      std::unique_ptr<Table> warm = RunX100Query(q, &ctx, *db_);
       ExpectTablesEqual(*ram, *warm, 0.0);
       EXPECT_GT(bm.pool()->stats().hits, 0u);
 
-      // Morsel-parallel over the same disk files, 4 workers. Workers
-      // partial-aggregate their morsels before the merge, so double sums
-      // can differ from the serial order in the last ulp — compare with
-      // the same relative tolerance the serial-vs-parallel tests use.
       ExecContext pctx;
       pctx.num_threads = 4;
-      std::unique_ptr<Table> par = RunX100QueryDisk(q, &pctx, *db_, &bm,
-                                                    compress);
+      pctx.blocks = ctx.blocks;
+      std::unique_ptr<Table> par = RunX100Query(q, &pctx, *db_);
       ExpectTablesEqual(*ram, *par);
     }
   }
@@ -601,50 +621,30 @@ TEST_F(DiskQueryTest, DiskScanSurvivesEvictionPressure) {
   // Q6 with small blocks and a pool far smaller than the working set: the
   // scan must stream through eviction and still match.
   ScopedTempDir dir("x100_bm_test");
-  ExecContext ctx;
-  std::unique_ptr<Table> ram = RunX100Query(6, &ctx, *db_);
+  ExecContext ram_ctx;
+  std::unique_ptr<Table> ram = RunX100Query(6, &ram_ctx, *db_);
   ColumnBm bm(ColumnBm::Options{.block_size = 64 << 10,
                                 .disk_dir = dir.path(),
                                 .pool_bytes = 256 << 10});
-  std::unique_ptr<Table> disk = RunX100QueryDisk(6, &ctx, *db_, &bm, false);
+  ExecContext ctx;
+  ctx.blocks = {&bm, db_};
+  std::unique_ptr<Table> disk = RunX100Query(6, &ctx, *db_);
   ExpectTablesEqual(*ram, *disk, 0.0);
   EXPECT_GT(bm.pool()->stats().evictions, 0u);
 
   ExecContext pctx;
   pctx.num_threads = 4;
-  std::unique_ptr<Table> par = RunX100QueryDisk(6, &pctx, *db_, &bm, false);
+  pctx.blocks = ctx.blocks;
+  std::unique_ptr<Table> par = RunX100Query(6, &pctx, *db_);
   ExpectTablesEqual(*ram, *par);
 }
 
-TEST_F(DiskQueryTest, Q3AndQ14JoinsMatchAcrossBackends) {
-  // Joins over compressed block scans: the join-index columns ride through
-  // the codec path like any other integral column.
-  for (int q : {3, 14}) {
-    for (bool compress : {false, true}) {
-      ScopedTempDir dir("x100_bm_test");
-      ExecContext ctx;
-      std::unique_ptr<Table> ram = RunX100Query(q, &ctx, *db_);
-      ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path(),
-                                    .pool_bytes = 64 << 20});
-      std::unique_ptr<Table> cold = RunX100QueryDisk(q, &ctx, *db_, &bm,
-                                                     compress);
-      ExpectTablesEqual(*ram, *cold, 0.0);  // serial plans mirror exactly
-
-      ExecContext pctx;
-      pctx.num_threads = 4;
-      std::unique_ptr<Table> par = RunX100QueryDisk(q, &pctx, *db_, &bm,
-                                                    compress);
-      ExpectTablesEqual(*ram, *par);
-    }
-  }
-}
-
 TEST_F(DiskQueryTest, EveryPinnedCodecIsBitIdenticalOnQ1AndQ6) {
-  // The tentpole acceptance matrix: Q1/Q6 results must not depend on which
-  // codec served the blocks — cold pool, warm pool, and morsel-parallel.
+  // Q1/Q6 results must not depend on which codec served the blocks — cold
+  // pool, warm pool, and morsel-parallel.
   for (int q : {1, 6}) {
-    ExecContext ctx;
-    std::unique_ptr<Table> ram = RunX100Query(q, &ctx, *db_);
+    ExecContext ram_ctx;
+    std::unique_ptr<Table> ram = RunX100Query(q, &ram_ctx, *db_);
     for (CodecId codec : {CodecId::kFor, CodecId::kPdict, CodecId::kRle,
                           CodecId::kPforDelta}) {
       SCOPED_TRACE(std::string("q") + std::to_string(q) + " codec=" +
@@ -652,16 +652,16 @@ TEST_F(DiskQueryTest, EveryPinnedCodecIsBitIdenticalOnQ1AndQ6) {
       ScopedTempDir dir("x100_bm_test");
       ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path(),
                                     .pool_bytes = 64 << 20});
-      std::unique_ptr<Table> cold =
-          RunX100QueryDisk(q, &ctx, *db_, &bm, true, codec);
+      ExecContext ctx;
+      ctx.blocks = {&bm, db_, true, codec};
+      std::unique_ptr<Table> cold = RunX100Query(q, &ctx, *db_);
       ExpectTablesEqual(*ram, *cold, 0.0);
-      std::unique_ptr<Table> warm =
-          RunX100QueryDisk(q, &ctx, *db_, &bm, true, codec);
+      std::unique_ptr<Table> warm = RunX100Query(q, &ctx, *db_);
       ExpectTablesEqual(*ram, *warm, 0.0);
       ExecContext pctx;
       pctx.num_threads = 4;
-      std::unique_ptr<Table> par =
-          RunX100QueryDisk(q, &pctx, *db_, &bm, true, codec);
+      pctx.blocks = ctx.blocks;
+      std::unique_ptr<Table> par = RunX100Query(q, &pctx, *db_);
       ExpectTablesEqual(*ram, *par);
     }
   }
@@ -675,8 +675,8 @@ TEST_F(DiskQueryTest, TraceShowsCodecCounters) {
   ExecContext ctx;
   ctx.trace = &trace;
   ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
-  std::unique_ptr<Table> r =
-      RunX100QueryDisk(6, &ctx, *db_, &bm, true, CodecId::kFor);
+  ctx.blocks = {&bm, db_, true, CodecId::kFor};
+  std::unique_ptr<Table> r = RunX100Query(6, &ctx, *db_);
   ASSERT_EQ(r->num_rows(), 1);
   std::string txt = trace.ToString();
   EXPECT_NE(txt.find("codec.for.blocks"), std::string::npos) << txt;
@@ -689,7 +689,8 @@ TEST_F(DiskQueryTest, TraceShowsPrefetchAndPoolCounters) {
   ExecContext ctx;
   ctx.trace = &trace;
   ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
-  std::unique_ptr<Table> r = RunX100QueryDisk(6, &ctx, *db_, &bm, false);
+  ctx.blocks = {&bm, db_};
+  std::unique_ptr<Table> r = RunX100Query(6, &ctx, *db_);
   ASSERT_EQ(r->num_rows(), 1);
   std::string txt = trace.ToString();
   EXPECT_NE(txt.find("BmScan"), std::string::npos) << txt;

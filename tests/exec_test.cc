@@ -673,10 +673,69 @@ TEST(BmScanTest, RejectsUnsupportedTablesWithClearErrors) {
     ASSERT_TRUE(t->Delete(3).ok());
     expect_throw(*t, {"id"}, "deleted rows");
   }
-  {  // non-enum string column
-    std::unique_ptr<Table> t = MakeData(100, /*enum_tag=*/false);
-    expect_throw(*t, {"tag"}, "non-enum string");
+}
+
+TEST(BmScanTest, ResidentStringColumnsMatchInMemoryScan) {
+  // Non-enum strings are heap pointers, so they are never block-stored: the
+  // scan copies them from the RAM fragment beside the block-served columns,
+  // for every morsel split and with or without compression.
+  std::unique_ptr<Table> t = MakeData(3000, /*enum_tag=*/false);
+  ExecContext ctx;
+  ctx.vector_size = 100;
+  std::unique_ptr<Table> ram =
+      RunPlan(plan::Scan(&ctx, *t, {"tag", "id"}), "ram");
+  for (bool compress : {false, true}) {
+    ColumnBm bm;
+    for (int workers : {1, 3}) {
+      std::vector<std::unique_ptr<Table>> parts;
+      for (int w = 0; w < workers; w++) {
+        parts.push_back(RunPlan(
+            plan::BmScan(&ctx, &bm, *t,
+                         {.cols = {"tag", "id"},
+                          .compress = compress,
+                          .morsel = {w, workers}}),
+            "disk"));
+      }
+      int64_t row = 0;
+      for (const auto& p : parts) {
+        for (int64_t r = 0; r < p->num_rows(); r++, row++) {
+          ASSERT_EQ(p->GetValue(r, 0).AsStr(), ram->GetValue(row, 0).AsStr());
+          ASSERT_EQ(p->GetValue(r, 1).AsI64(), ram->GetValue(row, 1).AsI64());
+        }
+      }
+      EXPECT_EQ(row, ram->num_rows());
+    }
+    EXPECT_FALSE(bm.Contains("data.tag.plain"));
+    EXPECT_FALSE(bm.Contains("data.tag.cmp"));
   }
+}
+
+TEST(BmScanTest, ContextBlockSourceChoosesTheScan) {
+  // plan::Scan reads ColumnBM blocks for the tables of the context's block
+  // catalog and RAM fragments for anything else (materialized sub-results).
+  Catalog db;
+  Table* t = db.AddTable("data", {{"id", TypeId::kI32, false}});
+  for (int i = 0; i < 1000; i++) t->AppendRow({Value::I32(i)});
+  t->Freeze();
+  std::unique_ptr<Table> other = MakeData(10);
+  ColumnBm bm;
+  QueryTrace trace;
+  ExecContext ctx;
+  ctx.trace = &trace;
+  ctx.blocks = {&bm, &db};
+  std::unique_ptr<Table> r =
+      RunPlan(plan::Scan(&ctx, *t, {.cols = {"id"},
+                                    .range = ScanSpec::Range{"id", 0, 10}}),
+              "r");
+  // The range is only a pruning hint: the block path returns every row.
+  EXPECT_EQ(r->num_rows(), 1000);
+  EXPECT_TRUE(bm.Contains("data.id.plain"));
+  RunPlan(plan::Scan(&ctx, *other, std::vector<std::string>{"id"}), "o");
+  std::string txt = trace.ToString();
+  EXPECT_NE(txt.find("BmScan"), std::string::npos) << txt;
+  EXPECT_NE(txt.find("Scan(data)"), std::string::npos) << txt;
+  EXPECT_THROW(plan::Scan(&ctx, *t, ScanSpec{.cols = {"id"}, .rowid = "rid"}),
+               std::invalid_argument);
 }
 
 TEST(BmScanTest, MorselScansPartitionTheFragment) {

@@ -342,10 +342,10 @@ TEST_F(FusionTpchTest, Q1Q6FusedBitIdenticalOnRamAndDisk) {
 
     ScopedTempDir dir("x100_fusion_test");
     ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
-    std::unique_ptr<Table> disk_plain =
-        RunX100QueryDisk(q, &plain, *db_, &bm);
-    std::unique_ptr<Table> disk_fused =
-        RunX100QueryDisk(q, &fused, *db_, &bm);
+    plain.blocks = {&bm, db_};
+    fused.blocks = {&bm, db_};
+    std::unique_ptr<Table> disk_plain = RunX100Query(q, &plain, *db_);
+    std::unique_ptr<Table> disk_fused = RunX100Query(q, &fused, *db_);
     ExpectBitIdentical(*disk_plain, *disk_fused);
     ExpectBitIdentical(*ram_fused, *disk_fused);
   }

@@ -403,11 +403,13 @@ TEST_F(HashImplQueryTest, QueriesBitIdenticalAcrossImplsDisk) {
     ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
     ExecContext base;
     base.hash_impl = HashImpl::kChained;
-    std::unique_ptr<Table> chained = RunX100QueryDisk(q, &base, *db_, &bm);
+    base.blocks = {&bm, db_};
+    std::unique_ptr<Table> chained = RunX100Query(q, &base, *db_);
     for (HashImpl impl : {HashImpl::kLinear, HashImpl::kCuckoo}) {
       ExecContext ctx;
       ctx.hash_impl = impl;
-      std::unique_ptr<Table> got = RunX100QueryDisk(q, &ctx, *db_, &bm);
+      ctx.blocks = {&bm, db_};
+      std::unique_ptr<Table> got = RunX100Query(q, &ctx, *db_);
       ExpectTablesEqual(*chained, *got, 0.0);
     }
   }

@@ -52,13 +52,18 @@ struct Dataset {
   }
 
   /// Runs Select(pred) through the engine; returns matching `a` values in
-  /// scan order.
+  /// scan order. A `prefilter` runs as its own Select first, so `pred` then
+  /// evaluates under an active selection vector.
   std::vector<int32_t> Engine(ExprPtr pred, bool predicated = false,
-                              int vector_size = 256) const {
+                              int vector_size = 256,
+                              ExprPtr prefilter = nullptr) const {
     ExecContext ctx;
     ctx.predicated_selects = predicated;
     ctx.vector_size = vector_size;
     OpPtr op = plan::Scan(&ctx, *table, {"a", "f", "tag", "day"});
+    if (prefilter != nullptr) {
+      op = plan::Select(&ctx, std::move(op), std::move(prefilter));
+    }
     op = plan::Select(&ctx, std::move(op), std::move(pred));
     std::unique_ptr<Table> r = RunPlan(std::move(op), "r");
     std::vector<int32_t> out;
@@ -97,16 +102,26 @@ TEST(PredicateTest, RandomAndOrTreesMatchReference) {
         use_or ? Or(And(std::move(leaf_a), std::move(leaf_f)), std::move(leaf_t))
                : And(Or(std::move(leaf_a), std::move(leaf_f)), std::move(leaf_t));
 
-    auto ref = d.Reference([&](const Row& r) {
+    auto tree = [&](const Row& r) {
       bool la = r.a < va;
       bool lf = r.f >= vf;
       bool lt = flip ? r.tag != vt : r.tag == vt;
       return use_or ? ((la && lf) || lt) : ((la || lf) && lt);
-    });
+    };
+    auto ref = d.Reference(tree);
+    // The same tree behind a prefilter Select: the selection vector is then
+    // active, and the Select writes its output over its input positions.
+    auto pre_ref =
+        d.Reference([&](const Row& r) { return r.day > 8235 && tree(r); });
     for (bool predicated : {false, true}) {
       for (int vs : {3, 256, 4096}) {
         EXPECT_EQ(d.Engine(pred->Clone(), predicated, vs), ref)
             << "trial " << trial << " predicated=" << predicated << " vs=" << vs;
+        EXPECT_EQ(d.Engine(pred->Clone(), predicated, vs,
+                           Gt(Col("day"), Lit(Value::Date(8235)))),
+                  pre_ref)
+            << "prefiltered trial " << trial << " predicated=" << predicated
+            << " vs=" << vs;
       }
     }
   }

@@ -35,7 +35,8 @@ namespace {
 using testing::ExpectTablesEqual;
 using testing::ScopedTempDir;
 
-/// The disk-backed query mix: ColumnBM plans exist for Q1/Q3/Q6/Q14.
+/// The lineitem-scan query mix the concurrency tests rotate through (the
+/// four plans with an Exchange variant).
 constexpr int kMix[] = {1, 3, 6, 14};
 
 constexpr double kSf = 0.02;
@@ -199,9 +200,8 @@ TEST_F(ServerTest, CancelMidQueryReleasesPinsAndThreads) {
       // Loop the disk query so the cancel lands mid-pipeline with blocks
       // pinned; the per-vector poll throws QueryCancelled out of here.
       std::unique_ptr<Table> r;
-      for (int i = 0; i < 200000; i++) {
-        r = RunX100QueryDisk(6, c, *db_, &bm, /*compress=*/true);
-      }
+      c->blocks = {&bm, db_, /*compress=*/true};
+      for (int i = 0; i < 200000; i++) r = RunX100Query(6, c, *db_);
       return r;
     });
     ASSERT_EQ(AwaitStart(s.get()), QuerySession::State::kRunning);
@@ -383,11 +383,11 @@ TEST_F(ServerTest, InvalidRequestsFailTheSessionNotTheService) {
   EXPECT_NE(s1->error().find("invalid request"), std::string::npos)
       << s1->error();
 
-  QueryRequest disk2 = Req(2, QueryEngine::kDisk);  // no disk plan for q2
-  auto s2 = svc.Submit(disk2);
+  QueryRequest fuse2 = Req(2, QueryEngine::kDisk);
+  fuse2.fuse = 2;  // outside [-1, 1]
+  auto s2 = svc.Submit(fuse2);
   EXPECT_EQ(s2->Wait(), QuerySession::State::kFailed);
-  EXPECT_NE(s2->error().find("disk engine"), std::string::npos)
-      << s2->error();
+  EXPECT_NE(s2->error().find("fuse"), std::string::npos) << s2->error();
 
   QueryRequest parse = Req(1);
   parse.query = "Frobnicate(Table(lineitem))";
@@ -398,6 +398,15 @@ TEST_F(ServerTest, InvalidRequestsFailTheSessionNotTheService) {
   // The service is unharmed: a good request still runs.
   auto ok = svc.Submit(Req(6));
   EXPECT_EQ(ok->Wait(), QuerySession::State::kDone) << ok->error();
+
+  // Every query runs on the disk engine, q2 included (the service creates
+  // the ColumnBm on first use): same plan, same result as RAM.
+  auto disk2 = svc.Submit(Req(2, QueryEngine::kDisk));
+  ASSERT_EQ(disk2->Wait(), QuerySession::State::kDone) << disk2->error();
+  std::unique_ptr<Table> got = disk2->TakeResult();
+  ASSERT_NE(got, nullptr);
+  ExecContext ctx;
+  ExpectTablesEqual(*RunX100Query(2, &ctx, *db_), *got, 0.0);
 }
 
 TEST_F(ServerTest, AlgebraTextRequestExecutes) {
@@ -438,9 +447,11 @@ TEST_F(ServerTest, RequestValidation) {
   req.vector_size = 0;
   EXPECT_NE(req.Validate().find("vector_size"), std::string::npos);
   req.vector_size = 1024;
-  req.engine = QueryEngine::kDisk;
+  req.engine = QueryEngine::kDisk;  // serves every query and algebra text
   req.query = "q2";
-  EXPECT_NE(req.Validate().find("disk engine"), std::string::npos);
+  EXPECT_EQ(req.Validate(), "");
+  req.query = "Table(orders)";
+  EXPECT_EQ(req.Validate(), "");
   req.query = "q14";
   EXPECT_EQ(req.Validate(), "");
   req.fuse = 2;

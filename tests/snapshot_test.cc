@@ -420,8 +420,9 @@ TEST_F(DeletionBoundaryTest, Q1Q6BitIdenticalToPreMaterializedReference) {
     // MVCC snapshot path, disk-backed BmScanOp.
     ScopedTempDir disk("x100_delbound");
     ColumnBm bm(ColumnBm::Options{.disk_dir = disk.path()});
-    std::unique_ptr<Table> got_disk =
-        RunX100QueryDisk(q, &mvcc_ctx, *live, &bm);
+    ExecContext disk_ctx = mvcc_ctx;
+    disk_ctx.blocks = {&bm, live.get()};
+    std::unique_ptr<Table> got_disk = RunX100Query(q, &disk_ctx, *live);
     ExpectTablesEqual(*want, *got_disk, /*eps=*/0.0);
   }
 }
@@ -478,8 +479,9 @@ TEST_F(DeletionBoundaryTest, DeletedDeltaRowsCompactAcrossTheFragmentEdge) {
 
     ScopedTempDir disk("x100_delbound_delta");
     ColumnBm bm(ColumnBm::Options{.disk_dir = disk.path()});
-    std::unique_ptr<Table> got_disk =
-        RunX100QueryDisk(q, &mvcc_ctx, *live, &bm);
+    ExecContext disk_ctx = mvcc_ctx;
+    disk_ctx.blocks = {&bm, live.get()};
+    std::unique_ptr<Table> got_disk = RunX100Query(q, &disk_ctx, *live);
     ExpectTablesEqual(*want, *got_disk, /*eps=*/0.0);
   }
 }

@@ -63,6 +63,26 @@ bool AwaitCounter(Counter* c, uint64_t floor) {
   return c->Get() >= floor;
 }
 
+/// One request's whole stream: its batches, then its DONE.
+struct Stream {
+  std::vector<BatchMsg> batches;
+  DoneMsg done;
+};
+
+/// Reads the next stream off `c` (one request in flight at a time).
+bool Collect(Client* c, Stream* out, std::string* error) {
+  for (;;) {
+    Client::Event ev;
+    if (!c->Next(&ev, error)) return false;
+    if (ev.kind == Client::Event::Kind::kBatch) {
+      out->batches.push_back(std::move(ev.batch));
+    } else if (ev.kind == Client::Event::Kind::kDone) {
+      out->done = ev.done;
+      return true;
+    }
+  }
+}
+
 TEST_F(TcpServerTest, HandshakeSubmitStreamsBitIdenticalResultThenDone) {
   QueryService svc;
   svc.engines()->Seed(kSf, db_);
@@ -217,17 +237,121 @@ TEST_F(TcpServerTest, InvalidRequestSurfacesAsFailedDone) {
   auto client = Client::Connect("127.0.0.1", server.port(), &error);
   ASSERT_NE(client, nullptr) << error;
 
-  QueryRequest bad;
-  bad.query = "q2";
-  bad.engine = QueryEngine::kDisk;  // no disk plan for q2
-  bad.scale_factor = kSf;
-  ASSERT_TRUE(client->Submit(3, bad, &error)) << error;
+  QueryRequest req;
+  req.query = "q2";
+  req.engine = QueryEngine::kDisk;
+  req.scale_factor = kSf;
+  req.vector_size = 0;  // out of range
+  ASSERT_TRUE(client->Submit(3, req, &error)) << error;
   Client::Event ev;
   ASSERT_TRUE(client->Next(&ev, &error)) << error;
   ASSERT_EQ(ev.kind, Client::Event::Kind::kDone);
   EXPECT_EQ(ev.done.outcome.status, QueryStatus::kFailed);
-  EXPECT_NE(ev.done.outcome.error.find("disk engine"), std::string::npos)
+  EXPECT_NE(ev.done.outcome.error.find("vector_size"), std::string::npos)
       << ev.done.outcome.error;
+
+  // The same query with a valid shape is served from disk blocks.
+  req.vector_size = kDefaultVectorSize;
+  ASSERT_TRUE(client->Submit(4, req, &error)) << error;
+  Stream q2;
+  ASSERT_TRUE(Collect(client.get(), &q2, &error)) << error;
+  EXPECT_EQ(q2.done.outcome.status, QueryStatus::kDone)
+      << q2.done.outcome.error;
+  ExecContext ctx;
+  EXPECT_EQ(q2.done.outcome.rows, RunX100Query(2, &ctx, *db_)->num_rows());
+  server.Stop();
+  svc.Drain();
+}
+
+TEST_F(TcpServerTest, MalformedAlgebraFailsAndTheConnectionKeepsServing) {
+  // An expression that does not bind is the client's error, not the
+  // server's: each plan ends in a kFailed DONE carrying the bind error, and
+  // the same connection goes on serving.
+  QueryService svc;
+  svc.engines()->Seed(kSf, db_);
+  TcpServer server(&svc, {0, 8, 1 << 20});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = Client::Connect("127.0.0.1", server.port(), &error);
+  ASSERT_NE(client, nullptr) << error;
+
+  const char* plans[] = {
+      // unary use of a binary operator
+      "Project(Table(lineitem, l_discount), [d = +(l_discount)])",
+      // unknown column
+      "Project(Table(lineitem, l_discount), [d = *(l_nope, l_discount)])",
+      // wrong arity for mahalanobis
+      "Project(Table(lineitem, l_discount, l_tax), "
+      "[d = mahalanobis(l_discount, l_tax)])",
+      // a predicate that is not a comparison
+      "Select(Table(lineitem, l_discount), +(l_discount, l_discount))",
+      // no str x str arithmetic primitive
+      "Project(Table(orders, o_comment), [d = +(o_comment, o_comment)])",
+  };
+  uint64_t id = 1;
+  for (const char* plan : plans) {
+    SCOPED_TRACE(plan);
+    QueryRequest req;
+    req.query = plan;
+    req.scale_factor = kSf;
+    ASSERT_TRUE(client->Submit(id++, req, &error)) << error;
+    Stream s;
+    ASSERT_TRUE(Collect(client.get(), &s, &error)) << error;
+    EXPECT_TRUE(s.batches.empty());
+    EXPECT_EQ(s.done.outcome.status, QueryStatus::kFailed);
+    EXPECT_NE(s.done.outcome.error.find("bind error"), std::string::npos)
+        << s.done.outcome.error;
+  }
+
+  QueryRequest q6;
+  q6.query = "q6";
+  q6.scale_factor = kSf;
+  ASSERT_TRUE(client->Submit(id++, q6, &error)) << error;
+  Stream s;
+  ASSERT_TRUE(Collect(client.get(), &s, &error)) << error;
+  EXPECT_EQ(s.done.outcome.status, QueryStatus::kDone) << s.done.outcome.error;
+  EXPECT_EQ(s.done.outcome.rows, serial_q6_->num_rows());
+  server.Stop();
+  svc.Drain();
+}
+
+TEST_F(TcpServerTest, AlgebraOnDiskStreamsTheSameBytesAsRam) {
+  // Algebra text runs on the disk engine like a TPC-H plan: Table(orders)
+  // scans o_comment, a non-enum string column served from RAM beside the
+  // blocked columns. Both streams must match byte for byte.
+  QueryService svc;
+  svc.engines()->Seed(kSf, db_);
+  TcpServer server(&svc, {0, 8, 1 << 20});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = Client::Connect("127.0.0.1", server.port(), &error);
+  ASSERT_NE(client, nullptr) << error;
+
+  Stream got[2];
+  for (QueryEngine engine : {QueryEngine::kRam, QueryEngine::kDisk}) {
+    QueryRequest req;
+    req.query = "Table(orders)";
+    req.engine = engine;
+    req.scale_factor = kSf;
+    ASSERT_TRUE(client->Submit(7, req, &error)) << error;
+    Stream& s = got[static_cast<int>(engine)];
+    ASSERT_TRUE(Collect(client.get(), &s, &error)) << error;
+    ASSERT_EQ(s.done.outcome.status, QueryStatus::kDone)
+        << s.done.outcome.error;
+  }
+  EXPECT_EQ(got[1].done.outcome.rows, db_->Get("orders").num_rows());
+  ASSERT_EQ(got[0].batches.size(), got[1].batches.size());
+  for (size_t b = 0; b < got[0].batches.size(); b++) {
+    const BatchMsg& ram = got[0].batches[b];
+    const BatchMsg& disk = got[1].batches[b];
+    EXPECT_EQ(ram.num_rows, disk.num_rows);
+    ASSERT_EQ(ram.cols.size(), disk.cols.size());
+    for (size_t c = 0; c < ram.cols.size(); c++) {
+      EXPECT_EQ(ram.cols[c].type, disk.cols[c].type);
+      EXPECT_EQ(ram.cols[c].fixed, disk.cols[c].fixed) << "col " << c;
+      EXPECT_EQ(ram.cols[c].strs, disk.cols[c].strs) << "col " << c;
+    }
+  }
   server.Stop();
   svc.Drain();
 }
@@ -339,7 +463,8 @@ TEST_F(TcpServerTest, KillConnectionMidQueryCancelsAndReleasesPins) {
 
     // Service still serves: a fresh connection-less request completes.
     auto ok = svc.Submit([&](ExecContext* c) {
-      return RunX100QueryDisk(6, c, *db_, &bm, /*compress=*/true);
+      c->blocks = {&bm, db_, /*compress=*/true};
+      return RunX100Query(6, c, *db_);
     });
     EXPECT_EQ(ok->Wait(), QuerySession::State::kDone) << ok->error();
     svc.Drain();
