@@ -53,7 +53,7 @@ int main() {
   BenchExport ex("fusion");
 
   // Depth-2, the Q1 shape: (1 - a) * b as sub then mul vs one fused kernel.
-  auto chain_submul = [&] {
+  auto chain_sub_mul = [&] {
     const MapPrimitive* sub = r.FindMap("map_sub_f64_val_f64_col");
     const MapPrimitive* mul = r.FindMap("map_mul_f64_col_f64_col");
     double one = 1.0;
@@ -64,7 +64,7 @@ int main() {
       mul->fn(kVec, cols.out.data(), a2, nullptr);
     }
   };
-  auto fused_submul = [&] {
+  auto fused_sub_mul = [&] {
     const MapPrimitive* m = r.FindMap("map_fused_sub_vc_mul_pc_f64");
     double one = 1.0;
     for (int v = 0; v < kVecs; v++) {
@@ -106,8 +106,8 @@ int main() {
     RepSet chained, fused;
   } micro[2] = {{"submul", "(1-a)*b: depth-2", {}, {}},
                 {"mahal", "square(a-b)/c: depth-3", {}, {}}};
-  micro[0].chained = MeasureReps(reps, chain_submul);
-  micro[0].fused = MeasureReps(reps, fused_submul);
+  micro[0].chained = MeasureReps(reps, chain_sub_mul);
+  micro[0].fused = MeasureReps(reps, fused_sub_mul);
   micro[1].chained = MeasureReps(reps, chain_mahal);
   micro[1].fused = MeasureReps(reps, fused_mahal);
   for (const Micro& m : micro) {

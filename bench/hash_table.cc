@@ -1,7 +1,7 @@
-// Hash-table micro-bench: builds and probes every HashImpl (chained /
-// linear open-addressing / bucketized cuckoo) head-to-head at a
-// cache-resident size and at an SF=0.1-class build size, exporting
-// BENCH_hashtable.json for the CI gate (bench/baselines/hashtable.json).
+// Hash-table micro-bench: builds and probes both HashImpl layouts (chained /
+// linear open-addressing) head-to-head at a cache-resident size and at an
+// SF=0.1-class build size, exporting BENCH_hashtable.json for the CI gate
+// (bench/baselines/hashtable.json).
 //
 // Measured per impl and size:
 //   build_<impl>_<size>            seconds per rep (insert all keys)
@@ -88,11 +88,10 @@ int main() {
       {"small", size_t{1} << 12, size_t{1} << 20},
       {"large", size_t{1} << 18, size_t{1} << 22},
   };
-  const HashImpl impls[] = {HashImpl::kChained, HashImpl::kLinear,
-                            HashImpl::kCuckoo};
+  const HashImpl impls[] = {HashImpl::kChained, HashImpl::kLinear};
 
   BenchExport out("hashtable");
-  double probe_best_large[3] = {0, 0, 0};
+  double probe_best_large[2] = {0, 0};
 
   for (const SizeClass& sz : sizes) {
     // Distinct keys, hashed once up front (the engine hashes via the
@@ -110,7 +109,7 @@ int main() {
       stream[i] = build_hash[(s >> 33) % sz.build_keys];
     }
 
-    for (int ii = 0; ii < 3; ii++) {
+    for (int ii = 0; ii < 2; ii++) {
       HashImpl impl = impls[ii];
       std::string tag = std::string(HashImplName(impl)) + "_" + sz.name;
       HashTable t(impl);
@@ -160,8 +159,6 @@ int main() {
   if (probe_best_large[1] > 0) {
     out.AddScalar("linear_vs_chained_probe_speedup_large",
                   probe_best_large[0] / probe_best_large[1], "x");
-    out.AddScalar("cuckoo_vs_chained_probe_speedup_large",
-                  probe_best_large[0] / probe_best_large[2], "x");
   }
 
   return out.Write().empty() ? 1 : 0;

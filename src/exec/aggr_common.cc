@@ -87,8 +87,7 @@ std::vector<int> BuildAggrSchema(const Schema& child,
                                  Schema* schema) {
   std::vector<int> key_cols;
   for (const std::string& g : group_by) {
-    int ci = child.Find(g);
-    X100_CHECK(ci >= 0);
+    int ci = BindColumn(child, g, "Aggr");
     key_cols.push_back(ci);
     schema->Add(child.field(ci));
   }

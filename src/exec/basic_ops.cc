@@ -43,11 +43,18 @@ ProjectOp::ProjectOp(ExecContext* ctx, std::unique_ptr<Operator> child,
   std::vector<const Expr*> ptrs;
   for (const NamedExpr& ne : exprs_) ptrs.push_back(ne.expr.get());
   MultiExprEvaluator probe(ctx_, child_->schema(), ptrs, "Project");
+  const Schema& in = child_->schema();
   for (size_t i = 0; i < exprs_.size(); i++) {
     Field f;
     f.name = exprs_[i].name;
     f.type = probe.type(static_cast<int>(i));
     f.dict = probe.dict(static_cast<int>(i));
+    // A passed-through column keeps its logical type: the binder folds
+    // dates into i32 for the primitives, but the data is the same.
+    const Expr& e = *exprs_[i].expr;
+    if (e.kind() == Expr::Kind::kColumn) {
+      f.type = in.field(in.Find(e.name())).type;
+    }
     schema_.Add(f);
   }
 }

@@ -77,6 +77,22 @@ std::optional<fused::OpK> FusibleOp(const std::string& fn, size_t arity) {
   return std::nullopt;
 }
 
+/// Binder-side expression macros: a call that binds as the plain arithmetic
+/// it stands for, so the chain fuser (or, with fusion off, the interpreted
+/// steps) handles it like any other expression.
+///   mahalanobis(a, b, c) = div(square(sub(a, b)), c) — the paper's §4.2
+///   compound-primitive example.
+/// Null when `expr` is not a macro call of the right arity.
+ExprPtr ExpandMacro(const Expr& expr) {
+  if (expr.kind() != Expr::Kind::kCall || expr.name() != "mahalanobis" ||
+      expr.args().size() != 3) {
+    return nullptr;
+  }
+  const auto& a = expr.args();
+  return exprs::Div(exprs::Square(exprs::Sub(a[0]->Clone(), a[1]->Clone())),
+                    a[2]->Clone());
+}
+
 /// Minimum intermediate-vector traffic (bytes/tuple) a fused chain must
 /// eliminate to be worth binding. Chains of 8-byte types always clear it
 /// (one 8-byte store + load per collapsed edge = 16); a hypothetical 4-byte
@@ -238,6 +254,7 @@ ValueNode Program::Cast(ValueNode node, TypeId to) {
 
 void Program::NoteSubtreeUses(const Expr& expr) {
   if (expr.kind() != Expr::Kind::kCall) return;
+  if (ExprPtr m = ExpandMacro(expr)) return NoteSubtreeUses(*m);
   use_counts_[expr.Signature()]++;
   for (const ExprPtr& a : expr.args()) NoteSubtreeUses(*a);
 }
@@ -256,12 +273,9 @@ std::optional<TypeId> Program::InferType(const Schema& input,
     case Expr::Kind::kCall:
       break;
   }
+  if (ExprPtr m = ExpandMacro(expr)) return InferType(input, *m);
   const std::string& fn = expr.name();
   const auto& args = expr.args();
-  if (fn == "fused_submul" || fn == "fused_addmul" || fn == "mahalanobis") {
-    return args.size() == 3 ? std::optional<TypeId>(TypeId::kF64)
-                            : std::nullopt;
-  }
   if (fn == "sqrt" || fn == "square") {
     return args.size() == 1 ? std::optional<TypeId>(TypeId::kF64)
                             : std::nullopt;
@@ -400,11 +414,11 @@ bool Program::TryFuseChain(const Schema& input, const Expr& expr,
   std::vector<Link> chain = std::move(rev);
 
   // Adaptive registry match: the generator pre-instantiates every depth-2
-  // shape but trims the deep enumerations, so on a miss the deepest node
-  // leaves the chain (its subtree becomes an ordinary leaf, bound
-  // recursively — where it may fuse on its own) and the shorter chain is
-  // probed again. A depth-4 chain thus degrades to a fused prefix plus
-  // interpreted steps, never to a whole-chain fallback.
+  // shape but only the depth-3 shapes a workload binds, so on a miss the
+  // deepest node leaves the chain (its subtree becomes an ordinary leaf,
+  // bound recursively — where it may fuse on its own) and the shorter chain
+  // is probed again. A depth-3 chain thus degrades to a fused depth-2 step
+  // plus an interpreted step, never to a whole-chain fallback.
   const MapPrimitive* prim = nullptr;
   std::vector<fused::StepSig> sig;
   std::string name;
@@ -507,10 +521,7 @@ ValueNode Program::BindValue(const Schema& input, const Expr& expr) {
   ValueNode node;
   switch (expr.kind()) {
     case Expr::Kind::kColumn: {
-      int ci = input.Find(expr.name());
-      if (ci < 0) {
-        Fail("no column '" + expr.name() + "' in " + input.ToString());
-      }
+      int ci = BindColumn(input, expr.name(), label_.c_str());
       const Field& f = input.field(ci);
       node.ref = {ArgRef::Src::kBatchCol, ci, nullptr, true, TypeWidth(f.type)};
       node.type = PrimType(f.type);
@@ -538,7 +549,7 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   }
   // Arity of the function forms below (binary arithmetic when unlisted).
   size_t arity = 2;
-  if (fn == "fused_submul" || fn == "fused_addmul" || fn == "mahalanobis") {
+  if (fn == "mahalanobis") {
     arity = 3;
   } else if (fn == "sqrt" || fn == "square" || fn == "neg" || fn == "dbl" ||
              fn == "i64" || fn == "year" || fn == "widen") {
@@ -551,52 +562,15 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
          (arity == 1 ? "" : "s") + ", got " +
          std::to_string(expr.args().size()));
   }
+  if (ExprPtr m = ExpandMacro(expr)) return BindValue(input, *m);
 
-  // Adaptive chain fusion (§4.2 generalized): probe for a 2..4-node
+  // Adaptive chain fusion (§4.2 generalized): probe for a 2..3-node
   // arithmetic chain rooted here whose pre-generated kernel exists in the
   // registry, and bind the whole chain as one fused step — the intermediates
   // stay in registers instead of round-tripping through vectors.
   {
     ValueNode fused_out;
     if (TryFuseChain(input, expr, &fused_out)) return fused_out;
-  }
-
-  // Compound primitives: fused_submul(V,a,b) = (V-a)*b; fused_addmul(V,a,b) =
-  // (V+a)*b; mahalanobis(a,b,c) = (a-b)^2/c. All f64 (§4.2).
-  if (fn == "fused_submul" || fn == "fused_addmul" || fn == "mahalanobis") {
-    std::vector<ValueNode> args;
-    for (const ExprPtr& a : expr.args()) {
-      args.push_back(Cast(Decode(BindValue(input, *a)), TypeId::kF64));
-    }
-    MapStep step;
-    std::string name;
-    if (fn == "mahalanobis") {
-      name = "map_mahalanobis_f64";
-      if (!(args[0].ref.is_col && args[1].ref.is_col && args[2].ref.is_col)) {
-        Fail("mahalanobis takes three column arguments");
-      }
-      step.args = {args[0].ref, args[1].ref, args[2].ref};
-    } else {
-      name = "map_fused_" + fn.substr(6) + "_f64";
-      if (!(!args[0].ref.is_col && args[1].ref.is_col &&
-            args[2].ref.is_col)) {
-        Fail(fn + " takes a constant and two column arguments");
-      }
-      step.args = {args[1].ref, args[2].ref, args[0].ref};
-    }
-    step.prim = PrimitiveRegistry::Get().FindMap(name);
-    X100_CHECK(step.prim != nullptr);
-    step.res_reg = AllocReg(TypeId::kF64);
-    step.stats = Stats(name);
-    step.bytes_per_tuple = 8;
-    for (const ValueNode& a : args) {
-      if (a.ref.is_col) step.bytes_per_tuple += 8;
-    }
-    steps_.push_back(std::move(step));
-    ValueNode out;
-    out.ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true, 8};
-    out.type = TypeId::kF64;
-    return out;
   }
 
   if (fn == "sqrt" || fn == "square" || fn == "neg") {
@@ -716,7 +690,7 @@ void Program::RunSteps(VectorBatch* batch) {
   X100_CHECK(batch->count() <= ctx_->vector_size);
   const int* sel = batch->sel();
   int n = batch->sel_count();
-  const void* args[8];  // fused depth-4 chains take up to 5 operands
+  const void* args[8];  // fused depth-3 chains take up to 4 operands
   for (MapStep& step : steps_) {
     X100_CHECK(step.args.size() <= 8);
     for (size_t i = 0; i < step.args.size(); i++) {
@@ -752,6 +726,16 @@ void Program::RunSteps(VectorBatch* batch) {
 }
 
 }  // namespace bind_internal
+
+int BindColumn(const Schema& input, const std::string& name, const char* op) {
+  int ci = input.Find(name);
+  if (ci < 0) {
+    throw std::invalid_argument(std::string("bind error in ") + op +
+                                ": no column '" + name + "' in " +
+                                input.ToString());
+  }
+  return ci;
+}
 
 // ---- MultiExprEvaluator -----------------------------------------------------
 

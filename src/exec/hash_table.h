@@ -13,22 +13,20 @@
 // enum-code keys alike. Slot lines are software-prefetched a fixed distance
 // ahead of the probing lane.
 //
-// Three interchangeable implementations sit behind one API so
-// bench/hash_table.cc can race them head-to-head and EXPERIMENTS E17 can
-// report cache misses per tuple:
-//   - kChained: bucket array of entry-chain heads (the pre-rewrite layout).
+// Two interchangeable layouts sit behind one API so bench/hash_table.cc can
+// race them head-to-head and EXPERIMENTS E17 can report cache misses per
+// tuple:
 //   - kLinear:  open addressing, linear probing over a contiguous
 //               (tag, entry) slot array; 8-byte slots, 8 per cache line.
-//   - kCuckoo:  bucketized cuckoo (2 hash functions, 4-slot buckets) with
-//               displacement on insert; probes touch at most 2 lines.
-// The engine default is kLinear; env X100_HASH_IMPL
-// (chained|linear|cuckoo) or ExecContext::hash_impl overrides per query.
+//               The engine layout.
+//   - kChained: bucket array of entry-chain heads (the pre-rewrite layout),
+//               kept as the paper-era reference the bit-identity tests run
+//               against via ExecContext::hash_impl.
 //
 // Keys are unique: duplicate-key handling (a join build side) lives in the
 // caller, which keeps one entry per distinct key and chains further rows
 // through its own next-array. That keeps match-emission order identical
-// across implementations (bit-identical query results) and keeps the cuckoo
-// variant free of same-key displacement cycles.
+// across layouts (bit-identical query results).
 //
 // Growth is power-of-two and happens only in Reset()/Reserve() — never
 // inside the probe loop — so callers reserve a batch's worth of headroom up
@@ -43,11 +41,7 @@ namespace x100 {
 struct TraceNode;
 
 /// Physical hash-table layout, selectable per query.
-enum class HashImpl { kChained, kLinear, kCuckoo };
-
-/// env X100_HASH_IMPL: "chained" | "linear" | "cuckoo" (default linear —
-/// the bench winner). Malformed values are fatal (strict-knob contract).
-HashImpl EnvHashImpl();
+enum class HashImpl { kChained, kLinear };
 
 const char* HashImplName(HashImpl impl);
 
@@ -62,7 +56,6 @@ struct HashTableStats {
   uint64_t key_rejects = 0;    ///< candidates the caller's key compare killed
   uint64_t inserts = 0;        ///< distinct entries created
   uint64_t grows = 0;          ///< capacity rebuilds
-  uint64_t displacements = 0;  ///< cuckoo evictions while placing entries
 };
 
 class HashTable {
@@ -95,7 +88,7 @@ class HashTable {
     std::vector<uint32_t> result_;
     std::vector<uint32_t> result_entry_;
     std::vector<uint32_t> cursor_;  // impl-specific scan position
-    std::vector<uint8_t> phase_;    // cuckoo bucket phase / scalar restart
+    std::vector<uint8_t> phase_;    // chained: scalar chain-walk restarted
     std::vector<int> active_;
     std::vector<int> cand_lane_;
     std::vector<uint32_t> cand_entry_;
@@ -103,7 +96,6 @@ class HashTable {
   };
 
   explicit HashTable(HashImpl impl);
-  HashTable();  // EnvHashImpl()
 
   HashImpl impl() const { return impl_; }
   size_t size() const { return entries_count_; }
@@ -161,7 +153,7 @@ class HashTable {
   void PublishStats(TraceNode* node);
 
  private:
-  struct Slot {          // linear + cuckoo
+  struct Slot {          // linear
     uint32_t tag;        // hash >> 32
     uint32_t entry1;     // entry index + 1; 0 = empty
   };
@@ -172,34 +164,24 @@ class HashTable {
 
   static uint32_t Tag(uint64_t h) { return static_cast<uint32_t>(h >> 32); }
   size_t HomeSlot(uint64_t h) const { return h & mask_; }
-  // Cuckoo: 4-slot buckets; the partner bucket is derivable from (bucket,
-  // tag) alone so displaced entries can hop without a hash lookup.
-  size_t Bucket1(uint64_t h) const { return h & mask_; }
-  size_t AltBucket(size_t b, uint32_t tag) const {
-    return (b ^ (static_cast<size_t>(tag) * 0x9E3779B9u)) & mask_;
-  }
 
   void EnsureCapacity(size_t total_entries);
   void Rebuild(size_t new_capacity);
   uint32_t NewEntry(uint64_t h, uint32_t value);
-  void PlaceCuckoo(uint32_t entry);
-  bool TryPlaceCuckoo(uint32_t entry, int max_kicks);
 
   int RoundChained(Probe* p);
   int RoundLinear(Probe* p);
-  int RoundCuckoo(Probe* p);
   bool InsertMissChained(Probe* p, int lane, uint32_t value, uint32_t* cand);
   bool InsertMissLinear(Probe* p, int lane, uint32_t value, uint32_t* cand);
-  bool InsertMissCuckoo(Probe* p, int lane, uint32_t value, uint32_t* cand);
 
   HashImpl impl_;
-  std::vector<Slot> slots_;     // linear: capacity_ slots; cuckoo: 4/bucket
+  std::vector<Slot> slots_;     // linear: capacity_ slots
   std::vector<uint32_t> heads_; // chained: bucket -> entry + 1
   std::vector<uint32_t> next_;  // chained: per entry
   std::vector<Entry> entries_;
   size_t entries_count_ = 0;
-  size_t capacity_ = 0;  // slots (linear/cuckoo) or buckets (chained)
-  size_t mask_ = 0;      // slot mask (linear) / bucket mask (chained, cuckoo)
+  size_t capacity_ = 0;  // slots (linear) or buckets (chained)
+  size_t mask_ = 0;      // slot mask (linear) / bucket mask (chained)
   HashTableStats stats_;
   HashTableStats published_;  // snapshot at last PublishStats
 };

@@ -1,4 +1,5 @@
 #include <cstring>
+#include <stdexcept>
 
 #include "exec/join.h"
 #include "exec/join_internal.h"
@@ -31,7 +32,8 @@ Fetch1JoinOp::Fetch1JoinOp(ExecContext* ctx, std::unique_ptr<Operator> child,
       fetch_(std::move(fetch)) {
   schema_ = child_->schema();
   for (const auto& [src, dst] : fetch_) {
-    const Column& col = target_.column(target_.ColumnIndex(src));
+    const Column& col =
+        target_.column(BindColumn(target_.schema(), src, "Fetch1Join"));
     Field f;
     f.name = dst;
     f.type = col.storage_type();
@@ -54,9 +56,13 @@ void Fetch1JoinOp::Open() {
   for (int i = 0; i < cs.num_fields(); i++) {
     *const_cast<Field*>(&schema_.field(i)) = cs.field(i);
   }
-  im.rowid_idx = cs.Find(rowid_col_);
-  X100_CHECK(im.rowid_idx >= 0);
-  X100_CHECK(cs.field(im.rowid_idx).type == TypeId::kI64);
+  im.rowid_idx = BindColumn(cs, rowid_col_, "Fetch1Join");
+  if (cs.field(im.rowid_idx).type != TypeId::kI64) {
+    throw std::invalid_argument("bind error in Fetch1Join: row-id column '" +
+                                rowid_col_ + "' is " +
+                                TypeName(cs.field(im.rowid_idx).type) +
+                                ", not i64");
+  }
 
   for (size_t fi = 0; fi < fetch_.size(); fi++) {
     const Column& col = target_.column(target_.ColumnIndex(fetch_[fi].first));

@@ -2,6 +2,7 @@
 #define X100_EXEC_OPERATOR_H_
 
 #include <optional>
+#include <string>
 
 #include "common/cancel.h"
 #include "common/config.h"
@@ -72,10 +73,10 @@ struct ExecContext {
   /// table entry) reads the live table directly, the single-writer default.
   const SnapshotSet* snapshots = nullptr;
   /// Physical hash-table layout for hash join / radix join / hash
-  /// aggregation (exec/hash_table.h). Defaults to env X100_HASH_IMPL
-  /// (linear open addressing when unset); tests override it per query to
-  /// cross-check the implementations for bit-identity.
-  HashImpl hash_impl = EnvHashImpl();
+  /// aggregation (exec/hash_table.h): linear open addressing. Tests set
+  /// kChained, the paper-era reference, to cross-check results for
+  /// bit-identity.
+  HashImpl hash_impl = HashImpl::kLinear;
   /// Storage tier the plan's table scans read (RAM unless `blocks.bm` is
   /// set). Exchange workers inherit it, so parallel plans scan blocks too.
   BlockSource blocks;
@@ -101,6 +102,13 @@ class Operator {
   virtual VectorBatch* Next() = 0;
   virtual void Close() {}
 };
+
+/// Index of column `name` in operator `op`'s input schema. Plans come from
+/// clients (algebra text), so a missing column is an input error, not an
+/// engine invariant: it throws std::invalid_argument("bind error in ...")
+/// like the expression binder, and a serving session fails the request.
+/// (Defined with the binder, exec/bound_expr.cc.)
+int BindColumn(const Schema& input, const std::string& name, const char* op);
 
 }  // namespace x100
 

@@ -33,9 +33,7 @@ class ColumnarSort {
     for (const Field& f : child->schema().fields()) cols.push_back(f.name);
     store_.Init(child->schema(), cols);
     for (const OrdKey& k : keys) {
-      int ci = child->schema().Find(k.name);
-      X100_CHECK(ci >= 0);
-      key_cols_.push_back(ci);
+      key_cols_.push_back(BindColumn(child->schema(), k.name, "Order/TopN"));
       desc_.push_back(k.desc);
     }
   }

@@ -19,11 +19,7 @@
 namespace x100::fused {
 
 /// Longest chain the generator instantiates kernels for.
-inline constexpr int kMaxFusedChain = 4;
-
-/// Most operand slots a chain can consume: a binary first step (2) plus
-/// three binary extensions (1 each).
-inline constexpr int kMaxFusedArgs = 5;
+inline constexpr int kMaxFusedChain = 3;
 
 enum class OpK : uint8_t { kAdd, kSub, kMul, kDiv, kNeg, kSquare };
 

@@ -2,16 +2,16 @@
 #define X100_PRIMITIVES_FUSED_GEN_H_
 
 // Template-metaprogramming kernel generator for fused map-primitive chains.
-// One FusedMap<T, Steps...> instantiation evaluates a whole 2..4-node chain
+// One FusedMap<T, Steps...> instantiation evaluates a whole 2..3-node chain
 // of add/sub/mul/div/neg/square per element, intermediates never leaving
-// registers — the paper's §4.2 compound primitives, but enumerated
-// mechanically over (op × operand-shape) step descriptors instead of
-// hand-written per pattern. The enumeration TUs (fused_gen_d*.cc) register
-// every instantiation under its fused::KernelName; the binder then treats a
-// registry hit as "this chain shape is fusable".
+// registers — the paper's §4.2 compound primitives, but generated from
+// (op × operand-shape) step descriptors instead of hand-written per
+// pattern. fused_gen_d2.cc enumerates the full depth-2 cross product;
+// fused_gen_d3.cc lists the few deeper shapes a workload binds. Both
+// register each instantiation under its fused::KernelName; the binder then
+// treats a registry hit as "this chain shape is fusable".
 //
-// Include only from primitives/fused_gen_d*.cc — each enumeration lives in
-// its own TU so the ~5k instantiations compile in parallel.
+// Include only from primitives/fused_gen_d*.cc.
 
 #include <cstdint>
 #include <utility>
@@ -179,37 +179,6 @@ void Gen2(PrimitiveRegistry* r) {
   });
 }
 
-template <typename T, typename L0, typename L1, typename L2>
-void Gen3(PrimitiveRegistry* r) {
-  ForEach(L0{}, [r](auto t0) {
-    using S0 = typename decltype(t0)::type;
-    ForEach(L1{}, [r](auto t1) {
-      using S1 = typename decltype(t1)::type;
-      ForEach(L2{}, [r](auto t2) {
-        using S2 = typename decltype(t2)::type;
-        Reg1<T, S0, S1, S2>(r);
-      });
-    });
-  });
-}
-
-template <typename T, typename L0, typename L1, typename L2, typename L3>
-void Gen4(PrimitiveRegistry* r) {
-  ForEach(L0{}, [r](auto t0) {
-    using S0 = typename decltype(t0)::type;
-    ForEach(L1{}, [r](auto t1) {
-      using S1 = typename decltype(t1)::type;
-      ForEach(L2{}, [r](auto t2) {
-        using S2 = typename decltype(t2)::type;
-        ForEach(L3{}, [r](auto t3) {
-          using S3 = typename decltype(t3)::type;
-          Reg1<T, S0, S1, S2, S3>(r);
-        });
-      });
-    });
-  });
-}
-
 // ---- shared step lists ------------------------------------------------------
 
 /// Binary op in the three first-step shapes.
@@ -219,9 +188,6 @@ using Bin3 = L<St<O, Shape::kCC>, St<O, Shape::kCV>, St<O, Shape::kVC>>;
 template <OpK O>
 using Ext4 = L<St<O, Shape::kPC>, St<O, Shape::kPV>, St<O, Shape::kCP>,
                St<O, Shape::kVP>>;
-/// Binary op in the two prev-first extension shapes (the common direction).
-template <OpK O>
-using Ext2 = L<St<O, Shape::kPC>, St<O, Shape::kPV>>;
 
 /// All f64 first steps: four binary ops × three shapes, plus unary neg /
 /// square over a column.
@@ -233,12 +199,11 @@ using ExtFullF64 = CatT<Ext4<OpK::kAdd>, Ext4<OpK::kSub>, Ext4<OpK::kMul>,
                         Ext4<OpK::kDiv>,
                         L<St<OpK::kNeg, Shape::kP>, St<OpK::kSquare, Shape::kP>>>;
 
-// Per-depth enumeration entry points; each lives in its own TU. Together
-// they are hooked into PrimitiveRegistry::Get() via
-// RegisterFusedChainPrimitives (primitive.h).
+// Per-depth registration entry points, one TU each. Together they are
+// hooked into PrimitiveRegistry::Get() via RegisterFusedChainPrimitives
+// (primitive.h).
 void RegisterFusedD2(PrimitiveRegistry* r);  // f64 + i64 depth-2 chains
-void RegisterFusedD3(PrimitiveRegistry* r);  // f64 depth-3 chains
-void RegisterFusedD4(PrimitiveRegistry* r);  // f64 depth-4 chains
+void RegisterFusedD3(PrimitiveRegistry* r);  // bound f64 depth-3 chains
 
 }  // namespace x100::fused_gen
 

@@ -29,7 +29,6 @@ namespace x100 {
 void RegisterFusedChainPrimitives(PrimitiveRegistry* r) {
   fused_gen::RegisterFusedD2(r);
   fused_gen::RegisterFusedD3(r);
-  fused_gen::RegisterFusedD4(r);
 }
 
 }  // namespace x100

@@ -1,29 +1,26 @@
 #include "primitives/fused_gen.h"
 
-// Depth-3 fused chains (f64 only — long i64 chains fall back to the
-// interpreted path via registry miss). Deep chains pay compile time per
-// instantiation, so only the common prev-first extension direction is
-// enumerated; the binder shrinks a chain until its name hits the registry,
-// so a missing depth-3 shape binds as a depth-2 fused step plus one
-// interpreted step, never worse than that. Two disjoint families:
-//   - binary middle (add/sub/mul of prev with a leaf);
-//   - unary middle (neg/square of the running value), which covers the
-//     paper's mahalanobis shape sub_cc > square_p > div_pc.
+// Deep fused chains: only the depth-3 f64 shapes something binds, not a
+// cross product. The binder shrinks any other deep chain until its name
+// hits the registry, so it binds as a depth-2 fused step plus interpreted
+// steps, with bit-identical results. Add a shape here when a query, an
+// example or a gated bench binds it (tests/fusion_test.cc pins the TPC-H
+// set).
 
 namespace x100::fused_gen {
 
-namespace {
-
-using ExtMid = CatT<Ext2<OpK::kAdd>, Ext2<OpK::kSub>, Ext2<OpK::kMul>>;
-using ExtLast = CatT<ExtMid, Ext2<OpK::kDiv>,
-                     L<St<OpK::kNeg, Shape::kP>, St<OpK::kSquare, Shape::kP>>>;
-using UnaryExt = L<St<OpK::kNeg, Shape::kP>, St<OpK::kSquare, Shape::kP>>;
-
-}  // namespace
-
 void RegisterFusedD3(PrimitiveRegistry* r) {
-  Gen3<double, FirstF64, ExtMid, ExtLast>(r);    // 14 × 6 × 10
-  Gen3<double, FirstF64, UnaryExt, ExtLast>(r);  // 14 × 2 × 10
+  // TPC-H Q9's amount: (1 - l_discount) * l_extendedprice - cost, where
+  // cost = ps_supplycost * l_quantity binds first as its own step.
+  Reg1<double, St<OpK::kSub, Shape::kVC>, St<OpK::kMul, Shape::kPC>,
+       St<OpK::kSub, Shape::kPC>>(r);
+  // mahalanobis(a, b, c) = square(a - b) / c, the paper's §4.2 example
+  // (examples/multimedia_distance, bench/fusion's depth-3 gate).
+  Reg1<double, St<OpK::kSub, Shape::kCC>, St<OpK::kSquare, Shape::kP>,
+       St<OpK::kDiv, Shape::kPC>>(r);
+  // Squared distance term (x - cx)^2 + (y - cy)^2 (examples/kmeans).
+  Reg1<double, St<OpK::kSub, Shape::kCC>, St<OpK::kSquare, Shape::kP>,
+       St<OpK::kAdd, Shape::kPC>>(r);
 }
 
 }  // namespace x100::fused_gen

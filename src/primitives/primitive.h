@@ -87,7 +87,6 @@ void RegisterSelectCmp(PrimitiveRegistry* r);
 void RegisterAggrPrimitives(PrimitiveRegistry* r);
 void RegisterFetchHash(PrimitiveRegistry* r);
 void RegisterStringPrimitives(PrimitiveRegistry* r);
-void RegisterCompoundPrimitives(PrimitiveRegistry* r);
 void RegisterFusedChainPrimitives(PrimitiveRegistry* r);
 
 }  // namespace x100

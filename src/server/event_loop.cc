@@ -63,10 +63,18 @@ void EventLoop::DelFd(int fd) {
 }
 
 void EventLoop::Post(std::function<void()> task) {
+  std::function<void()> dropped;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push_back(std::move(task));
+    if (finished_) {
+      dropped = std::move(task);
+    } else {
+      tasks_.push_back(std::move(task));
+    }
   }
+  // A task posted too late dies on return, outside the lock: releasing its
+  // captures may release the last owner of this loop.
+  if (dropped) return;
   Wake();
 }
 
@@ -132,8 +140,18 @@ void EventLoop::Run() {
     }
     DrainTasks();
   }
-  // Final drain so tasks posted around Stop() (connection teardown) run.
-  DrainTasks();
+  // Final drain so tasks posted around Stop() (connection teardown) run,
+  // including tasks those tasks post. Later posts are dropped (see Post).
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (tasks_.empty()) {
+        finished_ = true;
+        break;
+      }
+    }
+    DrainTasks();
+  }
 }
 
 }  // namespace x100

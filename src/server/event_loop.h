@@ -44,7 +44,9 @@ class EventLoop {
 
   /// Runs `task` on the loop thread at the next iteration. Thread-safe;
   /// wakes a sleeping epoll_wait. Tasks posted after Stop() still run
-  /// during the final drain before Run() returns.
+  /// during the final drain before Run() returns; once Run() has returned,
+  /// Post destroys the task unrun. (A task that captures an owner of the
+  /// loop would otherwise keep the loop and itself alive forever.)
   void Post(std::function<void()> task);
 
   /// Dispatches events and posted tasks until Stop(). Call from exactly
@@ -66,9 +68,10 @@ class EventLoop {
   int wake_fd_ = -1;  // eventfd: cross-thread wakeup for Post/Stop
   std::map<int, IoCallback> callbacks_;  // loop thread only
 
-  std::mutex mu_;  // guards tasks_ and stop_
+  std::mutex mu_;  // guards tasks_, stop_ and finished_
   std::vector<std::function<void()>> tasks_;
   bool stop_ = false;
+  bool finished_ = false;  // Run() drained its last task and returned
 
   std::thread::id loop_thread_;
 };

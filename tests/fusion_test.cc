@@ -10,7 +10,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -198,6 +201,64 @@ TEST(FusionBinderTest, NumericConstantsOfAnyTypeFuse) {
     if (name == "map_fused_sub_vc_mul_pc_f64") saw_fused = true;
   }
   EXPECT_TRUE(saw_fused);
+}
+
+TEST(FusionBinderTest, MahalanobisIsAMacroForTheGeneratedChain) {
+  // mahalanobis(a, b, c) binds as div(square(sub(a, b)), c): one generated
+  // depth-3 kernel with fusion on, three interpreted steps with it off, and
+  // the same numbers either way.
+  std::unique_ptr<Table> t = MakeFusionData(256);
+  ExecContext ctx;
+  ScanOp scan(&ctx, *t, {"a", "b", "c"});
+  auto mahal = [](ExprPtr a, ExprPtr b, ExprPtr c) {
+    std::vector<ExprPtr> args;
+    args.push_back(std::move(a));
+    args.push_back(std::move(b));
+    args.push_back(std::move(c));
+    return Expr::Call("mahalanobis", std::move(args));
+  };
+  ExprPtr e = mahal(Col("a"), Col("b"), Col("c"));
+  auto bind = [&](bool fuse) {
+    ExecContext c;
+    c.fuse_compound_primitives = fuse;
+    bind_internal::Program p(&c, "mahal");
+    p.NoteSubtreeUses(*e);
+    p.BindValue(scan.schema(), *e);
+    std::vector<const MapPrimitive*> prims;
+    for (const bind_internal::MapStep& s : p.steps()) prims.push_back(s.prim);
+    return prims;
+  };
+  const PrimitiveRegistry& r = PrimitiveRegistry::Get();
+  EXPECT_EQ(bind(true), std::vector<const MapPrimitive*>{r.FindMap(
+                            "map_fused_sub_cc_square_p_div_pc_f64")});
+  EXPECT_EQ(bind(false),
+            (std::vector<const MapPrimitive*>{
+                r.FindMap("map_sub_f64_col_f64_col"),
+                r.FindMap("map_square_f64_col"),
+                r.FindMap("map_div_f64_col_f64_col")}));
+
+  auto run = [&](bool fuse) {
+    ExecContext c;
+    c.fuse_compound_primitives = fuse;
+    OpPtr op = plan::Scan(&c, *t, {"a", "b", "c"});
+    op = plan::Project(&c, std::move(op),
+                       NE(As("d", mahal(Col("a"), Col("b"), Col("c")))));
+    return RunPlan(std::move(op), "r");
+  };
+  ExpectBitIdentical(*run(false), *run(true));
+
+  // Wrong arity is still the caller's bind error, fused or not.
+  for (bool fuse : {true, false}) {
+    ExecContext c;
+    c.fuse_compound_primitives = fuse;
+    std::vector<ExprPtr> two;
+    two.push_back(Col("a"));
+    two.push_back(Col("b"));
+    ExprPtr bad = Expr::Call("mahalanobis", std::move(two));
+    bind_internal::Program p(&c, "mahal");
+    p.NoteSubtreeUses(*bad);
+    EXPECT_THROW(p.BindValue(scan.schema(), *bad), std::invalid_argument);
+  }
 }
 
 // ---- Differential: fused and interpreted chains are bit-identical ----------
@@ -422,6 +483,48 @@ TEST_F(FusionTpchTest, ExplainAnalyzeMergesFusedNodesAcrossWorkers) {
   EXPECT_NE(text.find("Exchange(workers=4)"), std::string::npos) << text;
   // The merged per-worker subtree shows ONE fused node summing all workers.
   EXPECT_NE(text.find("fused[sub>mul]"), std::string::npos) << text;
+}
+
+TEST(FusionTpchKernelsTest, EachQueryBindsExactlyItsMeasuredFusedKernels) {
+  // Regression guard for the generator's pruning: the registry keeps every
+  // depth-2 shape but only the deep shapes something binds. If a plan or
+  // binder change makes a query bind a different fused kernel (or lose
+  // one), this set changes and the depth-3 list in fused_gen_d3.cc must be
+  // revisited.
+  const std::map<int, std::set<std::string>> want = {
+      {1, {"map_fused_sub_vc_mul_pc_f64", "map_fused_add_vc_mul_pc_f64"}},
+      {3, {"map_fused_sub_vc_mul_pc_f64"}},
+      {5, {"map_fused_sub_vc_mul_pc_f64"}},
+      {7, {"map_fused_sub_vc_mul_pc_f64"}},
+      {8, {"map_fused_sub_vc_mul_pc_f64"}},
+      {9, {"map_fused_sub_vc_mul_pc_sub_pc_f64"}},
+      {10, {"map_fused_sub_vc_mul_pc_f64"}},
+      {14, {"map_fused_sub_vc_mul_pc_f64", "map_fused_mul_vc_div_pc_f64"}},
+      {15, {"map_fused_sub_vc_mul_pc_f64"}},
+      {17, {"map_fused_div_cc_mul_vp_f64"}},
+      {19, {"map_fused_sub_vc_mul_pc_f64"}},
+  };
+  DbgenOptions opts;
+  opts.scale_factor = 0.01;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  for (int q = 1; q <= 22; q++) {
+    SCOPED_TRACE("Q" + std::to_string(q));
+    QueryTrace trace;
+    ExecContext ctx;
+    ctx.trace = &trace;
+    ASSERT_NE(RunX100Query(q, &ctx, *db), nullptr);
+    std::set<std::string> got;
+    std::vector<const TraceNode*> stack(trace.roots().begin(),
+                                        trace.roots().end());
+    while (!stack.empty()) {
+      const TraceNode* n = stack.back();
+      stack.pop_back();
+      for (const TraceNode* c : n->children) stack.push_back(c);
+      if (n->detail.rfind("map_fused_", 0) == 0) got.insert(n->detail);
+    }
+    auto it = want.find(q);
+    EXPECT_EQ(got, it == want.end() ? std::set<std::string>{} : it->second);
+  }
 }
 
 TEST_F(FusionTpchTest, TraceOffFusedStepsStillRun) {

@@ -1,5 +1,5 @@
 // Hash-table layer tests: the batch probe/insert protocol of every HashImpl
-// (chained / linear open-addressing / bucketized cuckoo) at the unit level,
+// (chained / linear open-addressing) at the unit level,
 // operator-level edge cases (empty build side, all-miss probes, duplicate
 // keys across growth, extreme i64 keys, selection-vector probes), and
 // bit-identity of Q1/Q3/Q14 across all implementations on both the RAM and
@@ -33,8 +33,7 @@ std::vector<AggrSpec> AG(Ts&&... ts) {
   return v;
 }
 
-const HashImpl kAllImpls[] = {HashImpl::kChained, HashImpl::kLinear,
-                              HashImpl::kCuckoo};
+const HashImpl kAllImpls[] = {HashImpl::kChained, HashImpl::kLinear};
 
 std::string ImplParamName(const ::testing::TestParamInfo<HashImpl>& info) {
   return HashImplName(info.param);
@@ -193,27 +192,7 @@ TEST_P(HashTableImplTest, ResetDropsEntriesKeepsStats) {
 INSTANTIATE_TEST_SUITE_P(Impls, HashTableImplTest,
                          ::testing::ValuesIn(kAllImpls), ImplParamName);
 
-TEST(HashTableTest, CuckooDisplacesUnderLoad) {
-  HashTable t(HashImpl::kCuckoo);
-  HashTable::Probe p;
-  std::vector<uint64_t> hashes;
-  std::vector<uint32_t> values;
-  for (int i = 0; i < 50000; i++) {
-    hashes.push_back(HashU64(static_cast<uint64_t>(i)));
-    values.push_back(static_cast<uint32_t>(i));
-    if (hashes.size() == 1024 || i == 49999) {
-      FindOrInsert(&t, &p, hashes, values);
-      hashes.clear();
-      values.clear();
-    }
-  }
-  EXPECT_EQ(t.size(), 50000u);
-  EXPECT_GT(t.stats().displacements, 0u);
-}
-
-TEST(HashTableTest, EnvKnobDefaultsToLinear) {
-  // The session does not set X100_HASH_IMPL, so the engine default applies.
-  EXPECT_EQ(EnvHashImpl(), HashImpl::kLinear);
+TEST(HashTableTest, ContextDefaultsToLinear) {
   ExecContext ctx;
   EXPECT_EQ(ctx.hash_impl, HashImpl::kLinear);
 }
@@ -388,12 +367,9 @@ TEST_F(HashImplQueryTest, QueriesBitIdenticalAcrossImplsRam) {
     ExecContext base;
     base.hash_impl = HashImpl::kChained;
     std::unique_ptr<Table> chained = RunX100Query(q, &base, *db_);
-    for (HashImpl impl : {HashImpl::kLinear, HashImpl::kCuckoo}) {
-      ExecContext ctx;
-      ctx.hash_impl = impl;
-      std::unique_ptr<Table> got = RunX100Query(q, &ctx, *db_);
-      ExpectTablesEqual(*chained, *got, 0.0);  // bit-identical, eps 0
-    }
+    ExecContext ctx;  // the engine layout: linear
+    std::unique_ptr<Table> got = RunX100Query(q, &ctx, *db_);
+    ExpectTablesEqual(*chained, *got, 0.0);  // bit-identical, eps 0
   }
 }
 
@@ -405,13 +381,10 @@ TEST_F(HashImplQueryTest, QueriesBitIdenticalAcrossImplsDisk) {
     base.hash_impl = HashImpl::kChained;
     base.blocks = {&bm, db_};
     std::unique_ptr<Table> chained = RunX100Query(q, &base, *db_);
-    for (HashImpl impl : {HashImpl::kLinear, HashImpl::kCuckoo}) {
-      ExecContext ctx;
-      ctx.hash_impl = impl;
-      ctx.blocks = {&bm, db_};
-      std::unique_ptr<Table> got = RunX100Query(q, &ctx, *db_);
-      ExpectTablesEqual(*chained, *got, 0.0);
-    }
+    ExecContext ctx;
+    ctx.blocks = {&bm, db_};
+    std::unique_ptr<Table> got = RunX100Query(q, &ctx, *db_);
+    ExpectTablesEqual(*chained, *got, 0.0);
   }
 }
 

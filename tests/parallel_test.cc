@@ -264,17 +264,20 @@ TEST(ExchangeTest, RepeatedCancelLeaksNoPoolThreads) {
     ctx.cancel = nullptr;
   }
   // Liveness probe: the shared pool must still execute new work. The tasks
-  // make no concurrency assumptions — each just counts itself.
+  // make no concurrency assumptions — each just counts itself. Release
+  // increments and acquire loads order each task's last access to the
+  // counter before the test frame that owns it unwinds.
   ThreadPool& pool = ThreadPool::Shared();
   const int n = pool.num_threads();
   std::atomic<int> ran{0};
   for (int i = 0; i < n; i++) {
-    pool.Submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    pool.Submit([&] { ran.fetch_add(1, std::memory_order_release); });
   }
-  for (int spins = 0; ran.load() < n && spins < 5000; spins++) {
+  for (int spins = 0; ran.load(std::memory_order_acquire) < n && spins < 5000;
+       spins++) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(ran.load(), n);
+  EXPECT_EQ(ran.load(std::memory_order_acquire), n);
 }
 
 // ---- Parallel TPC-H plans --------------------------------------------------

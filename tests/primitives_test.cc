@@ -286,39 +286,6 @@ TEST(HashTest, RehashDistinguishesKeyOrder) {
   EXPECT_NE(out[0], out[1]);
 }
 
-TEST(CompoundTest, FusedMatchesChain) {
-  const PrimitiveRegistry& r = PrimitiveRegistry::Get();
-  constexpr int kN = 512;
-  std::vector<double> disc(kN), price(kN);
-  Rng rng(5);
-  for (int i = 0; i < kN; i++) {
-    disc[i] = rng.Uniform(0, 10) / 100.0;
-    price[i] = rng.NextDouble() * 1000;
-  }
-  double one = 1.0;
-  // Chain: tmp = 1 - disc; out = tmp * price.
-  std::vector<double> tmp(kN), chained(kN), fused(kN);
-  const void* a1[2] = {&one, disc.data()};
-  r.FindMap("map_sub_f64_val_f64_col")->fn(kN, tmp.data(), a1, nullptr);
-  const void* a2[2] = {tmp.data(), price.data()};
-  r.FindMap("map_mul_f64_col_f64_col")->fn(kN, chained.data(), a2, nullptr);
-  // Fused.
-  const void* a3[3] = {disc.data(), price.data(), &one};
-  r.FindMap("map_fused_submul_f64")->fn(kN, fused.data(), a3, nullptr);
-  for (int i = 0; i < kN; i++) EXPECT_DOUBLE_EQ(fused[i], chained[i]);
-}
-
-TEST(CompoundTest, MahalanobisMatchesExpressionChain) {
-  const PrimitiveRegistry& r = PrimitiveRegistry::Get();
-  std::vector<double> x{1, 2, 3}, mu{0.5, 0.5, 0.5}, sig{2, 4, 8}, out(3);
-  const void* args[3] = {x.data(), mu.data(), sig.data()};
-  r.FindMap("map_mahalanobis_f64")->fn(3, out.data(), args, nullptr);
-  for (int i = 0; i < 3; i++) {
-    double d = x[i] - mu[i];
-    EXPECT_DOUBLE_EQ(out[i], d * d / sig[i]);
-  }
-}
-
 // ---- strings -------------------------------------------------------------------
 
 TEST(LikeTest, PatternSemantics) {

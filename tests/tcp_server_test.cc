@@ -287,6 +287,12 @@ TEST_F(TcpServerTest, MalformedAlgebraFailsAndTheConnectionKeepsServing) {
       "Select(Table(lineitem, l_discount), +(l_discount, l_discount))",
       // no str x str arithmetic primitive
       "Project(Table(orders, o_comment), [d = +(o_comment, o_comment)])",
+      // unknown sort key
+      "Order(Table(region), [r_nope ASC])",
+      // unknown group-by column
+      "HashAggr(Table(region), [r_nope], [n = count()])",
+      // unknown row-id column
+      "Fetch1Join(Table(nation), region, n_nope, [r_name AS r])",
   };
   uint64_t id = 1;
   for (const char* plan : plans) {
@@ -311,6 +317,41 @@ TEST_F(TcpServerTest, MalformedAlgebraFailsAndTheConnectionKeepsServing) {
   ASSERT_TRUE(Collect(client.get(), &s, &error)) << error;
   EXPECT_EQ(s.done.outcome.status, QueryStatus::kDone) << s.done.outcome.error;
   EXPECT_EQ(s.done.outcome.rows, serial_q6_->num_rows());
+  server.Stop();
+  svc.Drain();
+}
+
+TEST_F(TcpServerTest, Q3StreamsItsOrderDateAsADateColumn) {
+  // Project passes o_orderdate through unchanged, so the column must reach
+  // the client typed as a date, not as the binder's physical i32.
+  QueryService svc;
+  svc.engines()->Seed(kSf, db_);
+  TcpServer server(&svc, {0, 8, 1 << 20});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = Client::Connect("127.0.0.1", server.port(), &error);
+  ASSERT_NE(client, nullptr) << error;
+
+  QueryRequest req;
+  req.query = "q3";
+  req.scale_factor = kSf;
+  ASSERT_TRUE(client->Submit(1, req, &error)) << error;
+  Stream s;
+  ASSERT_TRUE(Collect(client.get(), &s, &error)) << error;
+  ASSERT_EQ(s.done.outcome.status, QueryStatus::kDone) << s.done.outcome.error;
+  ASSERT_FALSE(s.batches.empty());
+
+  ExecContext ctx;
+  std::unique_ptr<Table> ref = RunX100Query(3, &ctx, *db_);
+  int ci = ref->schema().Find("o_orderdate");
+  ASSERT_GE(ci, 0);
+  ASSERT_LT(ci, static_cast<int>(s.batches[0].cols.size()));
+  const BatchMsg::Col& col = s.batches[0].cols[ci];
+  EXPECT_EQ(col.type, TypeId::kDate);
+  ASSERT_GE(col.fixed.size(), sizeof(int32_t));
+  int32_t first = 0;
+  std::memcpy(&first, col.fixed.data(), sizeof(first));
+  EXPECT_EQ(first, ref->GetValue(0, ci).AsI64());
   server.Stop();
   svc.Drain();
 }

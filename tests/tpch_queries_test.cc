@@ -85,6 +85,22 @@ TEST_P(TpchQueryTest, CompoundFusionSameResult) {
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                          ::testing::Range(1, kNumTpchQueries + 1));
 
+TEST(TpchSchemas, PassedThroughOrderDateKeepsTheDateType) {
+  // Q3 and Q18 pass o_orderdate through a Project; the binder computes on
+  // dates as i32, but the output field must stay a date.
+  DbgenOptions opts;
+  opts.scale_factor = 0.01;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  for (int q : {3, 18}) {
+    SCOPED_TRACE(q);
+    ExecContext ctx;
+    std::unique_ptr<Table> r = RunX100Query(q, &ctx, *db);
+    int ci = r->schema().Find("o_orderdate");
+    ASSERT_GE(ci, 0);
+    EXPECT_EQ(r->schema().field(ci).type, TypeId::kDate);
+  }
+}
+
 TEST(TpchBaselines, HardcodedQ1MatchesX100) {
   DbgenOptions opts;
   opts.scale_factor = 0.01;
