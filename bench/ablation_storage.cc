@@ -103,9 +103,11 @@ int main() {
               t_sma * 1e3, t_full / t_sma);
 
   // (c) ColumnBM + lightweight compression under an I/O-bandwidth ceiling:
-  // the disk-bound regime the paper's ColumnBM targets. Reading the
-  // FOR-compressed file moves fewer bytes across the (simulated 200MB/s)
-  // I/O boundary; decompression happens CPU-side.
+  // the disk-bound regime the paper's ColumnBM targets. The blocks live in
+  // chunk files behind the buffer pool, and the simulated 200MB/s ceiling
+  // throttles every logical block read (pool hit or miss), so the page cache
+  // cannot hide the I/O. Reading the FOR-compressed file moves fewer bytes
+  // across that boundary; decompression happens CPU-side.
   const Column& dates = li.column(li.ColumnIndex("l_shipdate"));
   ColumnBm bm;
   bm.Store("l_shipdate.plain", dates);

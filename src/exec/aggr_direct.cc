@@ -1,10 +1,19 @@
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "exec/aggr_internal.h"
 
 namespace x100 {
 
 using aggr_internal::BoundAggr;
+
+namespace {
+/// The plan's grouping does not fit direct aggregation: the client's error.
+[[noreturn]] void ThrowBindError(const std::string& what) {
+  throw std::invalid_argument("bind error in DirectAggr: " + what);
+}
+}  // namespace
 
 // Direct aggregation (§4.1.2): group columns with small bit-domains index the
 // accumulator arrays directly — no hash table at all. For Q1 this is
@@ -38,7 +47,10 @@ DirectAggrOp::DirectAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
       child_(std::move(child)),
       group_by_(std::move(group_by)),
       specs_(std::move(aggrs)) {
-  X100_CHECK(group_by_.size() >= 1 && group_by_.size() <= 2);
+  if (group_by_.empty() || group_by_.size() > 2) {
+    ThrowBindError("needs 1 or 2 group-by columns, got " +
+                   std::to_string(group_by_.size()));
+  }
   std::vector<BoundAggr> probe;
   aggr_internal::BindAggrInputs(ctx_, child_->schema(), specs_, &probe,
                                 "DirectAggr");
@@ -62,17 +74,20 @@ void DirectAggrOp::Open() {
   im.grp_bytes_per_tuple = sizeof(uint32_t);
   for (int ci : im.key_cols) {
     TypeId t = cs.field(ci).type;
-    X100_CHECK(TypeWidth(t) <= 2);
-    X100_CHECK(im.key_cols.size() == 1 || TypeWidth(t) == 1);
+    // The group id is the keys' concatenated bits: one key of at most 16
+    // bits, or two 8-bit keys.
+    if (TypeWidth(t) > 2 || (im.key_cols.size() == 2 && TypeWidth(t) != 1)) {
+      ThrowBindError("group-by column '" + cs.field(ci).name + "' is " +
+                     TypeName(t) +
+                     "; keys must fit 16 bits (one key) or 8 bits each (two "
+                     "keys)");
+    }
     im.key_widths.push_back(TypeWidth(t));
     name += std::string("_") + TypeName(t) + "_col";
     im.grp_bytes_per_tuple += TypeWidth(t);
   }
   im.grp_prim = PrimitiveRegistry::Get().FindMap(name);
-  if (im.grp_prim == nullptr) {
-    std::fprintf(stderr, "bind error: no primitive '%s'\n", name.c_str());
-    X100_CHECK(false);
-  }
+  if (im.grp_prim == nullptr) ThrowBindError("no primitive '" + name + "'");
   im.grp_stats = ctx_->profiler ? ctx_->profiler->GetStats(name) : nullptr;
 
   im.domain = im.key_cols.size() == 2

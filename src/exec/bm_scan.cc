@@ -73,13 +73,12 @@ Staged LoadBlockDirect(ColumnBm* bm, const std::string& file, int64_t b,
 
 /// Shared-scan load: attach to a concurrent scan's load of the same block
 /// when one is in flight (or its payload still live), else own the load and
-/// publish it. `reg` null falls back to a plain direct load. An owner whose
-/// load fails propagates its own error; attachers waiting on it retry with
-/// a direct load instead of inheriting the owner's fate.
-Staged LoadBlock(ColumnBm* bm, SharedScanRegistry* reg,
-                 const std::string& file, int64_t b, CodecId codec,
-                 size_t width) {
-  if (reg == nullptr) return LoadBlockDirect(bm, file, b, codec, width);
+/// publish it in `bm`'s registry. An owner whose load fails propagates its
+/// own error; attachers waiting on it retry with a direct load instead of
+/// inheriting the owner's fate.
+Staged LoadBlock(ColumnBm* bm, const std::string& file, int64_t b,
+                 CodecId codec, size_t width) {
+  SharedScanRegistry* reg = &bm->shared_scans();
   SharedScanRegistry::Lease lease = reg->Acquire(file, b);
   if (!lease.owner) {
     std::string err;
@@ -183,7 +182,6 @@ void BmScanOp::Open() {
   pool_hits_ = pool_misses_ = 0;
   shared_attached_ = shared_published_ = 0;
   for (int i = 0; i < kNumCodecs; i++) codec_blocks_[i] = codec_bytes_[i] = 0;
-  prefetch_on_ = spec_.prefetch && bm_->disk_backed();
 
   // Under MVCC serving every bound comes from the pinned snapshot (live
   // counters move under concurrent writers; see ScanOp::Open).
@@ -264,28 +262,18 @@ void BmScanOp::Open() {
     files.push_back(st.file);
     cols_.push_back(std::move(st));
   }
-  if (bm_->disk_backed()) {
-    Status s = bm_->WriteTableManifest(table_.name(), files);
-    if (!s.ok()) {
-      throw std::runtime_error("BmScanOp: manifest write failed: " +
-                               s.message());
-    }
+  Status s = bm_->WriteTableManifest(table_.name(), files);
+  if (!s.ok()) {
+    throw std::runtime_error("BmScanOp: manifest write failed: " +
+                             s.message());
   }
   batch_ = VectorBatch(schema_, ctx_->vector_size);
-}
-
-SharedScanRegistry* BmScanOp::RegistryFor(const ColState& st) const {
-  // Attach only where it saves work: real I/O (disk backend) or a codec
-  // decode. Memory-backend raw blocks are already zero-copy.
-  if (!spec_.shared || !(bm_->disk_backed() || st.compressed)) return nullptr;
-  return &bm_->shared_scans();
 }
 
 void BmScanOp::SchedulePrefetch(ColState& st) {
   int64_t next = st.block + 1;
   // No readahead past the last block this morsel actually needs.
-  if (!prefetch_on_ || st.next != nullptr || next >= st.num_blocks ||
-      st.rows_left <= st.avail) {
+  if (st.next != nullptr || next >= st.num_blocks || st.rows_left <= st.avail) {
     return;
   }
   auto t = std::make_shared<Ticket>();
@@ -293,7 +281,6 @@ void BmScanOp::SchedulePrefetch(ColState& st) {
   st.next = t;
   prefetch_.scheduled++;
   ColumnBm* bm = bm_;
-  SharedScanRegistry* reg = RegistryFor(st);
   std::string file = st.file;
   // Codec looked up on the scan thread (metadata peek); kRaw payloads stay
   // zero-copy behind their pool pin, everything else decodes on the pool
@@ -303,7 +290,7 @@ void BmScanOp::SchedulePrefetch(ColState& st) {
   CodecId codec =
       st.compressed ? bm_->BlockCodec(st.file, next) : CodecId::kRaw;
   size_t width = st.width;
-  ThreadPool::Shared().Submit([t, bm, reg, file, codec, width, next] {
+  ThreadPool::Shared().Submit([t, bm, file, codec, width, next] {
     {
       std::lock_guard<std::mutex> lock(t->mu);
       if (t->cancelled) {
@@ -317,7 +304,7 @@ void BmScanOp::SchedulePrefetch(ColState& st) {
     bool failed = false;
     std::string error;
     try {
-      staged = LoadBlock(bm, reg, file, next, codec, width);
+      staged = LoadBlock(bm, file, next, codec, width);
     } catch (const std::exception& e) {
       failed = true;
       error = e.what();
@@ -371,8 +358,7 @@ void BmScanOp::StageBlock(ColState& st) {
     }
     staged = std::move(t->staged);
   } else {
-    staged = LoadBlock(bm_, RegistryFor(st), st.file, st.block, codec,
-                       st.width);
+    staged = LoadBlock(bm_, st.file, st.block, codec, st.width);
   }
   (staged.pool_hit ? pool_hits_ : pool_misses_)++;
   if (staged.attached) {
@@ -544,11 +530,8 @@ void BmScanOp::Close() {
                             static_cast<uint64_t>(prefetch_.hits));
     trace_node_->AddCounter("prefetch.late",
                             static_cast<uint64_t>(prefetch_.late));
-    if (bm_->disk_backed()) {
-      trace_node_->AddCounter("pool.hits", static_cast<uint64_t>(pool_hits_));
-      trace_node_->AddCounter("pool.misses",
-                              static_cast<uint64_t>(pool_misses_));
-    }
+    trace_node_->AddCounter("pool.hits", static_cast<uint64_t>(pool_hits_));
+    trace_node_->AddCounter("pool.misses", static_cast<uint64_t>(pool_misses_));
     if (shared_attached_ > 0) {
       trace_node_->AddCounter("shared.attached",
                               static_cast<uint64_t>(shared_attached_));

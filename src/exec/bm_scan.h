@@ -31,23 +31,20 @@ struct BmScanSpec {
   /// Contiguous share of the fragment this scan covers (block-aligned where
   /// possible; the union over workers is the whole fragment).
   ScanSpec::Morsel morsel;
-  /// Sequential readahead: while a block is being consumed/decoded, the next
-  /// block of each column is read on the shared ThreadPool so I/O overlaps
-  /// decode. Only effective on a disk-backed ColumnBm.
-  bool prefetch = true;
-  /// Shared scans (§4.3: ColumnBM is designed for many concurrent queries):
-  /// attach to another scan's in-flight load of the same (file, block)
-  /// through the ColumnBm's SharedScanRegistry instead of re-reading and
-  /// re-decoding. Only engaged where it saves work — disk-backed reads and
-  /// codec decodes; memory-backend raw blocks are zero-copy already.
-  bool shared = true;
 };
 
 /// Scan over ColumnBM block storage — the paper's goal (iii): the same
 /// vectorized pipeline fed by the lowest storage hierarchy instead of RAM
-/// (§4 "Disk"). Column data is served block-at-a-time from the buffer
-/// manager (optionally FOR-compressed, optionally real disk files behind the
-/// bounded buffer pool) and sliced into vectors at the RAM/cache boundary.
+/// (§4 "Disk"). Column data is served block-at-a-time from the ColumnBM
+/// chunk files behind the bounded buffer pool (optionally codec-compressed)
+/// and sliced into vectors at the RAM/cache boundary.
+///
+/// Sequential readahead: while a block is being consumed/decoded, the next
+/// block of each column is read on the shared ThreadPool so I/O overlaps
+/// decode. Shared scans (§4.3: ColumnBM is designed for many concurrent
+/// queries): every load goes through the ColumnBm's SharedScanRegistry, so a
+/// scan attaches to another scan's in-flight load of the same (file, block)
+/// instead of re-reading and re-decoding it.
 ///
 /// Restriction of the disk image: the table must be a pure frozen fragment
 /// (no deltas, no deletes — ColumnBM stores immutable fragments, §4.3); the
@@ -67,20 +64,13 @@ class BmScanOp : public Operator {
   /// Ensures each requested column of `table` is stored in `bm` under
   /// "<table>.<column>" (codec-compressed when `spec.compress` and the
   /// physical type is integral), then scans `spec.morsel`'s share from those
-  /// blocks, prefetching the next block of each column when `spec.prefetch`.
+  /// blocks, prefetching the next block of each column.
   BmScanOp(ExecContext* ctx, ColumnBm* bm, const Table& table, BmScanSpec spec);
 
   /// Cancels/waits out in-flight prefetch tasks: a cancelled query unwinds
   /// without Close(), and the tasks hold raw ColumnBm pointers and pool
   /// pins that must not outlive the operator tree's teardown.
   ~BmScanOp() override;
-
-  /// Back-compat positional form: full-table scan, prefetch on.
-  BmScanOp(ExecContext* ctx, ColumnBm* bm, const Table& table,
-           std::vector<std::string> cols, bool compress)
-      : BmScanOp(ctx, bm, table,
-                 BmScanSpec{std::move(cols), compress, std::nullopt, {},
-                            true}) {}
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
@@ -113,9 +103,9 @@ class BmScanOp : public Operator {
     size_t width = 0;
     int64_t num_blocks = 0;
     // Current block staging. `ref` holds the buffer-pool pin that keeps
-    // `cur` valid across Next() calls on the disk backend. `buf` is shared
-    // because a decoded payload may be published to (or attached from)
-    // concurrent scans of the same file via the SharedScanRegistry.
+    // `cur` valid across Next() calls. `buf` is shared because a decoded
+    // payload may be published to (or attached from) concurrent scans of
+    // the same file via the SharedScanRegistry.
     ColumnBm::BlockRef ref;
     std::shared_ptr<std::vector<char>> buf;  // decoded values (codec blocks)
     // Keeps the SharedScanRegistry entry for the staged block attachable
@@ -139,9 +129,6 @@ class BmScanOp : public Operator {
   void StageBlock(ColState& st);
   void SchedulePrefetch(ColState& st);
   void CancelPrefetches();
-  /// The ColumnBm's shared-scan registry when attaching can save this
-  /// column work (see BmScanSpec::shared), else null (direct loads).
-  SharedScanRegistry* RegistryFor(const ColState& st) const;
 
   ExecContext* ctx_;
   ColumnBm* bm_;
@@ -156,7 +143,6 @@ class BmScanOp : public Operator {
   int64_t end_ = 0;       // morsel end row
   int64_t delta_pos_ = 0, delta_end_ = 0;  // snapshot delta tail (morsel)
   bool in_delta_ = false;
-  bool prefetch_on_ = false;
   PrefetchStats prefetch_;
   int64_t pool_hits_ = 0, pool_misses_ = 0;
   // Shared-scan effectiveness: blocks this scan reused from a concurrent

@@ -20,6 +20,13 @@ namespace x100 {
 /// where the default 0 is exactly right).
 enum class JoinType { kInner, kSemi, kAnti, kLeftOuterDefault };
 
+/// Operator name of a join flavour, as in algebra text and EXPLAIN ANALYZE.
+inline const char* JoinLabel(JoinType type) {
+  return type == JoinType::kSemi   ? "SemiJoin"
+         : type == JoinType::kAnti ? "AntiJoin"
+                                   : "HashJoin";
+}
+
 /// Keys, outputs and flavour of one equi-join — the options struct taken by
 /// HashJoinOp and plan::Join in place of the former seven positional
 /// vectors. Output columns are `probe_out` from the probe child then

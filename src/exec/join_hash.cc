@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/hash.h"
 #include "common/metrics.h"
@@ -8,6 +9,7 @@
 
 namespace x100 {
 
+using join_internal::BindJoinColumns;
 using join_internal::DrainedStore;
 using join_internal::GatherByPos;
 using join_internal::GatherByRow;
@@ -108,20 +110,14 @@ HashJoinOp::HashJoinOp(ExecContext* ctx, std::unique_ptr<Operator> probe,
       probe_out_(std::move(spec.probe_out)),
       build_out_(std::move(spec.build_out)),
       type_(spec.type) {
-  X100_CHECK(probe_keys_.size() == build_keys_.size() && !probe_keys_.empty());
-  if (type_ == JoinType::kSemi || type_ == JoinType::kAnti) {
-    X100_CHECK(build_out_.empty());
+  if ((type_ == JoinType::kSemi || type_ == JoinType::kAnti) &&
+      !build_out_.empty()) {
+    throw std::invalid_argument(std::string("bind error in ") +
+                                JoinLabel(type_) +
+                                ": semi/anti joins emit no build columns");
   }
-  for (const std::string& name : probe_out_) {
-    int ci = probe_->schema().Find(name);
-    X100_CHECK(ci >= 0);
-    schema_.Add(probe_->schema().field(ci));
-  }
-  for (const std::string& name : build_out_) {
-    int ci = build_->schema().Find(name);
-    X100_CHECK(ci >= 0);
-    schema_.Add(build_->schema().field(ci));
-  }
+  BindJoinColumns(JoinLabel(type_), probe_->schema(), build_->schema(),
+                  probe_keys_, build_keys_, probe_out_, build_out_, &schema_);
 }
 
 HashJoinOp::~HashJoinOp() = default;
@@ -157,25 +153,32 @@ void HashJoinOp::Open() {
 
   const Schema& ps = probe_->schema();
   for (size_t c = 0; c < probe_keys_.size(); c++) {
-    int ci = ps.Find(probe_keys_[c]);
-    X100_CHECK(ci >= 0);
+    int ci = BindColumn(ps, probe_keys_[c], JoinLabel(type_));
     im.probe_key_cols.push_back(ci);
     im.probe_key_widths.push_back(TypeWidth(ps.field(ci).type));
     // Keys are compared raw; undecoded enum codes only work if both sides
     // share the dictionary object — plans join on plain key columns, so
-    // require value (non-code) types or matching str.
-    bool is_str = ps.field(ci).type == TypeId::kStr;
-    im.key_is_str.push_back(is_str);
+    // require value (non-code) types of one physical type on both sides.
+    const Field& pf = ps.field(ci);
     const Field& bf = im.store.schema.field(c);
-    X100_CHECK(!ps.field(ci).dict.valid() && !bf.dict.valid());
-
-    const char* tn = ps.field(ci).type == TypeId::kDate
-                         ? "i32"
-                         : TypeName(ps.field(ci).type);
+    const char* tn = pf.type == TypeId::kDate ? "i32" : TypeName(pf.type);
+    const char* btn = bf.type == TypeId::kDate ? "i32" : TypeName(bf.type);
+    if (pf.dict.valid() || bf.dict.valid() || std::strcmp(tn, btn) != 0) {
+      throw std::invalid_argument(
+          std::string("bind error in ") + JoinLabel(type_) + ": keys '" +
+          probe_keys_[c] + "' and '" + build_keys_[c] +
+          "' must be plain (not enum-coded) values of one type");
+    }
+    im.key_is_str.push_back(pf.type == TypeId::kStr);
     std::string name =
         std::string(c == 0 ? "map_hash_" : "map_rehash_") + tn + "_col";
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
-    X100_CHECK(prim != nullptr);
+    if (prim == nullptr) {
+      throw std::invalid_argument(std::string("bind error in ") +
+                                  JoinLabel(type_) + ": no primitive '" +
+                                  name + "' for key '" + probe_keys_[c] +
+                                  "'");
+    }
     im.hash_steps.push_back(
         {prim, ci, ctx_->profiler ? ctx_->profiler->GetStats(name) : nullptr,
          TypeWidth(ps.field(ci).type) + 8});
@@ -407,14 +410,12 @@ CartProdOp::CartProdOp(ExecContext* ctx, std::unique_ptr<Operator> probe,
       probe_out_(std::move(probe_out)),
       build_out_(std::move(build_out)) {
   for (const std::string& name : probe_out_) {
-    int ci = probe_->schema().Find(name);
-    X100_CHECK(ci >= 0);
-    schema_.Add(probe_->schema().field(ci));
+    schema_.Add(probe_->schema().field(
+        BindColumn(probe_->schema(), name, "CartProd")));
   }
   for (const std::string& name : build_out_) {
-    int ci = build_->schema().Find(name);
-    X100_CHECK(ci >= 0);
-    schema_.Add(build_->schema().field(ci));
+    schema_.Add(build_->schema().field(
+        BindColumn(build_->schema(), name, "CartProd")));
   }
 }
 

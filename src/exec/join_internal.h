@@ -5,6 +5,7 @@
 // exec/join_*.cc.
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,35 @@
 #include "storage/buffer.h"
 
 namespace x100::join_internal {
+
+/// Binds a join's columns against its children: every key must exist and
+/// the key lists must pair up; the output fields (probe outputs, then build
+/// outputs) are appended to `schema`. A mismatch describes the client's
+/// plan, not an engine invariant, so it throws std::invalid_argument("bind
+/// error in <op>: ...") like BindColumn.
+inline void BindJoinColumns(const char* op, const Schema& probe,
+                            const Schema& build,
+                            const std::vector<std::string>& probe_keys,
+                            const std::vector<std::string>& build_keys,
+                            const std::vector<std::string>& probe_out,
+                            const std::vector<std::string>& build_out,
+                            Schema* schema) {
+  if (probe_keys.empty() || probe_keys.size() != build_keys.size()) {
+    throw std::invalid_argument(
+        std::string("bind error in ") + op + ": " +
+        std::to_string(probe_keys.size()) + " probe keys vs " +
+        std::to_string(build_keys.size()) +
+        " build keys (need the same non-zero count)");
+  }
+  for (const std::string& k : probe_keys) BindColumn(probe, k, op);
+  for (const std::string& k : build_keys) BindColumn(build, k, op);
+  for (const std::string& name : probe_out) {
+    schema->Add(probe.field(BindColumn(probe, name, op)));
+  }
+  for (const std::string& name : build_out) {
+    schema->Add(build.field(BindColumn(build, name, op)));
+  }
+}
 
 /// Columnar store a build-side Dataflow is drained into (physical values;
 /// enum codes keep their dictionaries on the schema).

@@ -8,6 +8,7 @@
 
 namespace x100 {
 
+using join_internal::BindJoinColumns;
 using join_internal::DrainedStore;
 using join_internal::GatherByRow;
 
@@ -124,17 +125,8 @@ RadixJoinOp::RadixJoinOp(ExecContext* ctx, std::unique_ptr<Operator> probe,
       probe_out_(std::move(probe_out)),
       build_out_(std::move(build_out)),
       radix_bits_(radix_bits) {
-  X100_CHECK(probe_keys_.size() == build_keys_.size() && !probe_keys_.empty());
-  for (const std::string& name : probe_out_) {
-    int ci = probe_->schema().Find(name);
-    X100_CHECK(ci >= 0);
-    schema_.Add(probe_->schema().field(ci));
-  }
-  for (const std::string& name : build_out_) {
-    int ci = build_->schema().Find(name);
-    X100_CHECK(ci >= 0);
-    schema_.Add(build_->schema().field(ci));
-  }
+  BindJoinColumns("RadixJoin", probe_->schema(), build_->schema(),
+                  probe_keys_, build_keys_, probe_out_, build_out_, &schema_);
 }
 
 RadixJoinOp::~RadixJoinOp() = default;

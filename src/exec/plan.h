@@ -32,7 +32,7 @@ namespace x100::plan {
 using OpPtr = std::unique_ptr<Operator>;
 
 /// ColumnBM block scan configured by a BmScanSpec (columns + compression,
-/// morsel share, readahead — see exec/bm_scan.h). When tracing, the scan's
+/// morsel share — see exec/bm_scan.h). When tracing, the scan's
 /// prefetch.* / pool.* counters land on this node at Close().
 inline OpPtr BmScan(ExecContext* ctx, ColumnBm* bm, const Table& t,
                     BmScanSpec spec) {
@@ -40,7 +40,6 @@ inline OpPtr BmScan(ExecContext* ctx, ColumnBm* bm, const Table& t,
   if (spec.compress) {
     detail += spec.codec ? " " + std::string(Codec::Name(*spec.codec)) : " cmp";
   }
-  if (bm->disk_backed()) detail += " disk";
   if (spec.morsel.num_workers > 1) {
     detail += " morsel " + std::to_string(spec.morsel.worker) + "/" +
               std::to_string(spec.morsel.num_workers);
@@ -171,9 +170,7 @@ inline OpPtr OrdAggr(ExecContext* ctx, OpPtr child,
 inline OpPtr Join(ExecContext* ctx, OpPtr probe, OpPtr build, JoinSpec spec) {
   const Operator* p = probe.get();
   const Operator* b = build.get();
-  const char* label = spec.type == JoinType::kSemi   ? "SemiJoin"
-                      : spec.type == JoinType::kAnti ? "AntiJoin"
-                                                     : "HashJoin";
+  const char* label = JoinLabel(spec.type);
   auto op = std::make_unique<HashJoinOp>(ctx, std::move(probe),
                                          std::move(build), std::move(spec));
   HashJoinOp* raw = op.get();

@@ -1,7 +1,6 @@
 #include "server/engine_cache.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 
@@ -92,16 +91,6 @@ void RegisterTpchJoinIndices(DurableStore* store) {
 
 }  // namespace
 
-EngineCache::~EngineCache() {
-  for (auto& [sf, e] : entries_) {
-    if (!e.scratch_dir.empty()) {
-      e.owned_bm.reset();  // close chunk files before removing them
-      std::error_code ec;
-      std::filesystem::remove_all(e.scratch_dir, ec);
-    }
-  }
-}
-
 void EngineCache::EnableDurability(DurabilityOptions opts) {
   std::lock_guard<std::mutex> lock(mu_);
   durability_ = std::move(opts);
@@ -153,13 +142,7 @@ EngineCache::Engine EngineCache::Get(double sf, bool want_disk) {
     }
   }
   if (want_disk && e.bm == nullptr) {
-    char tmpl[] = "/tmp/x100_engine_XXXXXX";
-    if (mkdtemp(tmpl) == nullptr) {
-      throw std::runtime_error("engine cache: mkdtemp failed");
-    }
-    e.scratch_dir = tmpl;
-    e.owned_bm = std::make_unique<ColumnBm>(
-        ColumnBm::Options{.disk_dir = e.scratch_dir});
+    e.owned_bm = std::make_unique<ColumnBm>();
     e.bm = e.owned_bm.get();
   }
   return Engine{e.db, e.bm, e.store.get()};

@@ -44,10 +44,9 @@ class EngineCache {
     bool background_merge = true;
   };
 
+  /// Lazily created ColumnBms remove their own scratch directories. WAL
+  /// directories are deliberately never removed — they are the durability.
   EngineCache() = default;
-  /// Removes the scratch directories of lazily-created disk stores. WAL
-  /// directories are deliberately NOT removed — they are the durability.
-  ~EngineCache();
 
   EngineCache(const EngineCache&) = delete;
   EngineCache& operator=(const EngineCache&) = delete;
@@ -64,11 +63,11 @@ class EngineCache {
   void Seed(double sf, const Catalog* db, ColumnBm* bm = nullptr);
 
   /// Engine state for `sf`, dbgen-generating the catalog on first use; with
-  /// `want_disk`, also creates a disk-backed ColumnBm under a fresh scratch
-  /// directory. Blocks concurrent callers while generating — the first
-  /// query at a new SF pays generation inside its execution window, by
-  /// design (an admission slot is exactly the budget such work should
-  /// consume). Throws std::runtime_error when a scratch dir cannot be made.
+  /// `want_disk`, also creates a ColumnBm in its own scratch directory.
+  /// Blocks concurrent callers while generating — the first query at a new
+  /// SF pays generation inside its execution window, by design (an
+  /// admission slot is exactly the budget such work should consume). Throws
+  /// std::runtime_error when the scratch directory cannot be made.
   Engine Get(double sf, bool want_disk);
 
  private:
@@ -78,7 +77,6 @@ class EngineCache {
     std::unique_ptr<ColumnBm> owned_bm;
     ColumnBm* bm = nullptr;
     std::unique_ptr<DurableStore> store;  // owns the catalog when set
-    std::string scratch_dir;  // non-empty only for owned disk stores
   };
 
   std::mutex mu_;

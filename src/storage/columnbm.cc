@@ -1,9 +1,12 @@
 #include "storage/columnbm.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
+#include <system_error>
 
 #include "common/metrics.h"
 #include "common/profiling.h"
@@ -28,11 +31,6 @@ struct BmMetrics {
     return m;
   }
 };
-
-std::string EnvDiskDir() {
-  const char* env = std::getenv("X100_BM_DIR");
-  return (env != nullptr && *env != '\0') ? env : "";
-}
 
 // Per-codec freeze-path accounting (bm.codec.<name>.blocks/bytes): how many
 // blocks each codec won at StoreCompressed time and their stored sizes.
@@ -65,16 +63,24 @@ struct CodecMetrics {
 }
 }  // namespace
 
-ColumnBm::ColumnBm(size_t block_size)
-    : ColumnBm(Options{block_size, EnvDiskDir(), 0}) {}
+ColumnBm::ColumnBm() : ColumnBm(Options{}) {}
 
 ColumnBm::ColumnBm(const Options& opts)
     : block_size_(opts.block_size),
+      dir_(opts.disk_dir),
       shared_(std::make_unique<SharedScanRegistry>()) {
-  if (!opts.disk_dir.empty()) {
-    store_ = std::make_unique<DiskStore>(opts.disk_dir);
-    pool_ = std::make_unique<BufferPool>(opts.pool_bytes);
+  if (dir_.empty()) {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "x100_bm_XXXXXX").string();
+    if (mkdtemp(tmpl.data()) == nullptr) {
+      throw std::runtime_error("ColumnBm: cannot create scratch directory " +
+                               tmpl + ": " + std::strerror(errno));
+    }
+    dir_ = tmpl;
+    owns_dir_ = true;
   }
+  store_ = std::make_unique<DiskStore>(dir_);
+  pool_ = std::make_unique<BufferPool>(opts.pool_bytes);
 }
 
 void ColumnBm::EnsureStored(const std::string& file,
@@ -84,38 +90,33 @@ void ColumnBm::EnsureStored(const std::string& file,
   store();
 }
 
-ColumnBm::~ColumnBm() = default;
+ColumnBm::~ColumnBm() {
+  // Frames and open chunk files go first, then the files themselves.
+  pool_.reset();
+  store_.reset();
+  if (owns_dir_) {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+}
 
 void ColumnBm::Store(const std::string& file, const Column& col) {
   size_t total = col.bytes();
   const char* src = static_cast<const char*>(col.raw());
-  if (disk_backed()) {
-    Status s;
-    std::unique_ptr<DiskStore::Writer> w =
-        store_->NewFile(file, /*compressed=*/false, /*value_width=*/0, &s);
-    if (w == nullptr) ThrowIo(s);
-    for (size_t off = 0; off < total; off += block_size_) {
-      size_t n = std::min(block_size_, total - off);
-      s = w->AppendBlock(src + off, n, /*value_count=*/0);
-      if (!s.ok()) ThrowIo(s);
-    }
-    s = w->Finish();
-    if (!s.ok()) ThrowIo(s);
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    meta_.erase(file);
-    pool_->InvalidatePrefix(file + ":");
-    return;
-  }
-  File f;
+  Status s;
+  std::unique_ptr<DiskStore::Writer> w =
+      store_->NewFile(file, /*compressed=*/false, /*value_width=*/0, &s);
+  if (w == nullptr) ThrowIo(s);
   for (size_t off = 0; off < total; off += block_size_) {
     size_t n = std::min(block_size_, total - off);
-    auto blk = std::make_unique<char[]>(n);
-    std::memcpy(blk.get(), src + off, n);
-    f.blocks.push_back(std::move(blk));
-    f.block_bytes.push_back(n);
+    s = w->AppendBlock(src + off, n, /*value_count=*/0);
+    if (!s.ok()) ThrowIo(s);
   }
-  std::lock_guard<std::mutex> lock(mem_mu_);
-  files_[file] = std::move(f);
+  s = w->Finish();
+  if (!s.ok()) ThrowIo(s);
+  std::lock_guard<std::mutex> lock(meta_mu_);
+  meta_.erase(file);
+  pool_->InvalidatePrefix(file + ":");
 }
 
 namespace {
@@ -140,65 +141,35 @@ size_t ColumnBm::StoreCompressed(const std::string& file, const Column& col,
   size_t w = TypeWidth(col.storage_type());
   const char* src = static_cast<const char*>(col.raw());
   size_t total = 0;
-
-  if (disk_backed()) {
-    Status s;
-    std::unique_ptr<DiskStore::Writer> wr =
-        store_->NewFile(file, /*compressed=*/true, w, &s);
-    if (wr == nullptr) ThrowIo(s);
-    for (int64_t off = 0; off == 0 || off < col.size();
-         off += values_per_block) {
-      int64_t n = std::min<int64_t>(values_per_block, col.size() - off);
-      Buffer enc;
-      CodecId chosen;
-      size_t bytes = EncodeBlock(src + static_cast<size_t>(off) * w, n, w,
-                                 force, &enc, &chosen);
-      s = wr->AppendBlock(enc.data(), bytes, n, chosen);
-      if (!s.ok()) ThrowIo(s);
-      CodecMetrics::Get().Account(chosen, bytes);
-      total += bytes;
-    }
-    s = wr->Finish();
-    if (!s.ok()) ThrowIo(s);
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    meta_.erase(file);
-    pool_->InvalidatePrefix(file + ":");
-    return total;
-  }
-
-  File f;
-  f.compressed = true;
-  f.value_width = w;
+  Status s;
+  std::unique_ptr<DiskStore::Writer> wr =
+      store_->NewFile(file, /*compressed=*/true, w, &s);
+  if (wr == nullptr) ThrowIo(s);
   for (int64_t off = 0; off == 0 || off < col.size(); off += values_per_block) {
     int64_t n = std::min<int64_t>(values_per_block, col.size() - off);
     Buffer enc;
     CodecId chosen;
     size_t bytes = EncodeBlock(src + static_cast<size_t>(off) * w, n, w,
                                force, &enc, &chosen);
-    auto blk = std::make_unique<char[]>(bytes);
-    if (bytes > 0) std::memcpy(blk.get(), enc.data(), bytes);
-    f.blocks.push_back(std::move(blk));
-    f.block_bytes.push_back(bytes);
-    f.codecs.push_back(chosen);
-    f.value_counts.push_back(n);
+    s = wr->AppendBlock(enc.data(), bytes, n, chosen);
+    if (!s.ok()) ThrowIo(s);
     CodecMetrics::Get().Account(chosen, bytes);
     total += bytes;
   }
-  std::lock_guard<std::mutex> lock(mem_mu_);
-  files_[file] = std::move(f);
+  s = wr->Finish();
+  if (!s.ok()) ThrowIo(s);
+  std::lock_guard<std::mutex> lock(meta_mu_);
+  meta_.erase(file);
+  pool_->InvalidatePrefix(file + ":");
   return total;
 }
 
 bool ColumnBm::Contains(const std::string& file) const {
-  if (disk_backed()) {
-    {
-      std::lock_guard<std::mutex> lock(meta_mu_);
-      if (meta_.count(file) > 0) return true;
-    }
-    return store_->Exists(file);
+  {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    if (meta_.count(file) > 0) return true;
   }
-  std::lock_guard<std::mutex> lock(mem_mu_);
-  return files_.find(file) != files_.end();
+  return store_->Exists(file);
 }
 
 const DiskStore::FileMeta& ColumnBm::MetaFor(const std::string& file) const {
@@ -212,69 +183,31 @@ const DiskStore::FileMeta& ColumnBm::MetaFor(const std::string& file) const {
 }
 
 int64_t ColumnBm::NumBlocks(const std::string& file) const {
-  if (disk_backed()) {
-    return static_cast<int64_t>(MetaFor(file).blocks.size());
-  }
-  std::lock_guard<std::mutex> lock(mem_mu_);
-  auto it = files_.find(file);
-  X100_CHECK(it != files_.end());
-  return static_cast<int64_t>(it->second.blocks.size());
+  return static_cast<int64_t>(MetaFor(file).blocks.size());
 }
 
 int64_t ColumnBm::FileBytes(const std::string& file) const {
-  if (disk_backed()) {
-    return static_cast<int64_t>(MetaFor(file).payload_bytes);
-  }
-  std::lock_guard<std::mutex> lock(mem_mu_);
-  auto it = files_.find(file);
-  X100_CHECK(it != files_.end());
-  int64_t total = 0;
-  for (size_t bytes : it->second.block_bytes) {
-    total += static_cast<int64_t>(bytes);
-  }
-  return total;
+  return static_cast<int64_t>(MetaFor(file).payload_bytes);
 }
 
 size_t ColumnBm::BlockBytes(const std::string& file, int64_t b) const {
-  if (disk_backed()) {
-    const DiskStore::FileMeta& meta = MetaFor(file);
-    X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
-    return meta.blocks[static_cast<size_t>(b)].bytes;
-  }
-  std::lock_guard<std::mutex> lock(mem_mu_);
-  auto it = files_.find(file);
-  X100_CHECK(it != files_.end());
-  X100_CHECK(b >= 0 && b < static_cast<int64_t>(it->second.block_bytes.size()));
-  return it->second.block_bytes[static_cast<size_t>(b)];
+  const DiskStore::FileMeta& meta = MetaFor(file);
+  X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
+  return meta.blocks[static_cast<size_t>(b)].bytes;
 }
 
 int64_t ColumnBm::CompressedBlockCount(const std::string& file,
                                        int64_t b) const {
-  if (disk_backed()) {
-    const DiskStore::FileMeta& meta = MetaFor(file);
-    X100_CHECK(meta.compressed);
-    X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
-    return meta.blocks[static_cast<size_t>(b)].value_count;
-  }
-  std::lock_guard<std::mutex> lock(mem_mu_);
-  auto it = files_.find(file);
-  X100_CHECK(it != files_.end() && it->second.compressed);
-  X100_CHECK(b >= 0 && b < static_cast<int64_t>(it->second.blocks.size()));
-  return it->second.value_counts[static_cast<size_t>(b)];
+  const DiskStore::FileMeta& meta = MetaFor(file);
+  X100_CHECK(meta.compressed);
+  X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
+  return meta.blocks[static_cast<size_t>(b)].value_count;
 }
 
 CodecId ColumnBm::BlockCodec(const std::string& file, int64_t b) const {
-  if (disk_backed()) {
-    const DiskStore::FileMeta& meta = MetaFor(file);
-    X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
-    return meta.blocks[static_cast<size_t>(b)].codec;
-  }
-  std::lock_guard<std::mutex> lock(mem_mu_);
-  auto it = files_.find(file);
-  X100_CHECK(it != files_.end());
-  X100_CHECK(b >= 0 && b < static_cast<int64_t>(it->second.blocks.size()));
-  if (!it->second.compressed) return CodecId::kRaw;
-  return it->second.codecs[static_cast<size_t>(b)];
+  const DiskStore::FileMeta& meta = MetaFor(file);
+  X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
+  return meta.blocks[static_cast<size_t>(b)].codec;
 }
 
 void ColumnBm::AccountRead(size_t bytes) {
@@ -299,72 +232,43 @@ void ColumnBm::Throttle(size_t bytes) {
 }
 
 ColumnBm::BlockRef ColumnBm::ReadBlock(const std::string& file, int64_t b) {
-  if (disk_backed()) {
-    const DiskStore::FileMeta& meta = MetaFor(file);
-    X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
-    size_t bytes = meta.blocks[static_cast<size_t>(b)].bytes;
-    BufferPool::Pin pin;
-    bool hit = false;
-    Status s = pool_->GetOrLoad(
-        file + ":" + std::to_string(b), bytes,
-        [&](void* dst) {
-          return store_->ReadBlock(file, meta, static_cast<size_t>(b), dst);
-        },
-        &pin, &hit);
-    if (!s.ok()) ThrowIo(s);
-    AccountRead(bytes);
-    BlockRef ref;
-    ref.data = pin.data();
-    ref.bytes = bytes;
-    ref.cache_hit = hit;
-    ref.pin = std::move(pin);
-    return ref;
-  }
-
-  File* f;
-  {
-    std::lock_guard<std::mutex> lock(mem_mu_);
-    auto it = files_.find(file);
-    X100_CHECK(it != files_.end());
-    f = &it->second;  // stable: stores never race with reads of `file`
-  }
-  X100_CHECK(b >= 0 && b < static_cast<int64_t>(f->blocks.size()));
-  AccountRead(f->block_bytes[b]);
-  Throttle(f->block_bytes[b]);
+  const DiskStore::FileMeta& meta = MetaFor(file);
+  X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
+  size_t bytes = meta.blocks[static_cast<size_t>(b)].bytes;
+  BufferPool::Pin pin;
+  bool hit = false;
+  Status s = pool_->GetOrLoad(
+      file + ":" + std::to_string(b), bytes,
+      [&](void* dst) {
+        return store_->ReadBlock(file, meta, static_cast<size_t>(b), dst);
+      },
+      &pin, &hit);
+  if (!s.ok()) ThrowIo(s);
+  AccountRead(bytes);
+  Throttle(bytes);
   BlockRef ref;
-  ref.data = f->blocks[b].get();
-  ref.bytes = f->block_bytes[b];
+  ref.data = pin.data();
+  ref.bytes = bytes;
+  ref.cache_hit = hit;
+  ref.pin = std::move(pin);
   return ref;
 }
 
 int64_t ColumnBm::ReadDecompressed(const std::string& file, int64_t b,
                                    void* out) {
-  size_t width;
-  CodecId codec;
-  if (disk_backed()) {
-    const DiskStore::FileMeta& meta = MetaFor(file);
-    X100_CHECK(meta.compressed);
-    X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
-    width = meta.value_width;
-    codec = meta.blocks[static_cast<size_t>(b)].codec;
-  } else {
-    std::lock_guard<std::mutex> lock(mem_mu_);
-    auto it = files_.find(file);
-    X100_CHECK(it != files_.end() && it->second.compressed);
-    X100_CHECK(b >= 0 &&
-               b < static_cast<int64_t>(it->second.blocks.size()));
-    width = it->second.value_width;
-    codec = it->second.codecs[static_cast<size_t>(b)];
-  }
+  const DiskStore::FileMeta& meta = MetaFor(file);
+  X100_CHECK(meta.compressed);
+  X100_CHECK(b >= 0 && b < static_cast<int64_t>(meta.blocks.size()));
+  CodecId codec = meta.blocks[static_cast<size_t>(b)].codec;
   // Only the compressed bytes cross the I/O boundary; decompression is CPU
   // work on the cache side (§4 "Cache").
   BlockRef ref = ReadBlock(file, b);
-  return Codec::ForId(codec)->Decode(ref.data, ref.bytes, out, width);
+  return Codec::ForId(codec)->Decode(ref.data, ref.bytes, out,
+                                     meta.value_width);
 }
 
 Status ColumnBm::WriteTableManifest(const std::string& table,
                                     const std::vector<std::string>& files) {
-  if (!disk_backed()) return Status::OK();
   // Concurrent sessions opening the same table each write the manifest;
   // serialize so the file is never two writers' interleaving.
   std::lock_guard<std::mutex> lock(store_mu_);

@@ -24,18 +24,15 @@ class SharedScanRegistry;
 ///
 /// Where MonetDB stores each BAT in one continuous file, ColumnBM partitions
 /// column data into large (>1MB) chunks and serves them through a buffer pool
-/// geared to sequential access. Two backends share this interface:
+/// geared to sequential access. Blocks always live in checksummed chunk files
+/// (storage/disk_store.h) and are read through a bounded BufferPool
+/// (storage/buffer_pool.h, budget env X100_BM_BYTES), so every scan touches
+/// real file I/O and eviction.
 ///
-///  - memory (the original simulation): blocks live in a std::map, reads are
-///    free, and an optional simulated bandwidth ceiling converts bytes to
-///    stall nanoseconds for experiments that want the disk-bound regime;
-///  - disk: blocks live in checksummed chunk files (storage/disk_store.h)
-///    and are served through a bounded BufferPool (storage/buffer_pool.h,
-///    budget env X100_BM_BYTES), so scans touch real file I/O and eviction.
-///
-/// The backend is picked per instance: Options{.disk_dir = ...} selects
-/// disk explicitly, and env X100_BM_DIR flips default-constructed instances
-/// (every existing call site) to a disk store rooted there.
+/// The chunk files go under Options::disk_dir when the caller names one (the
+/// directory is the caller's and is never removed). With an empty disk_dir
+/// the instance makes its own scratch directory under the system temp
+/// directory and removes it, files and all, on destruction.
 ///
 /// Thread-safety: Store/StoreCompressed must not race with reads of the same
 /// file (scans store at Open, which exchange runs serially); everything else
@@ -45,24 +42,26 @@ class ColumnBm {
  public:
   struct Options {
     size_t block_size = kColumnBmBlockSize;
-    /// Non-empty: disk backend rooted at this directory.
+    /// Root of the chunk files; empty: a private scratch directory.
     std::string disk_dir;
     /// Buffer-pool budget in bytes; <= 0 reads env X100_BM_BYTES.
     int64_t pool_bytes = 0;
   };
 
-  /// Memory backend — unless env X100_BM_DIR names a directory, which
-  /// switches every default-constructed ColumnBm to disk storage there.
-  explicit ColumnBm(size_t block_size = kColumnBmBlockSize);
+  /// Default options: a private scratch directory, the env pool budget.
+  ColumnBm();
+  /// Throws std::runtime_error when the scratch directory cannot be made.
   explicit ColumnBm(const Options& opts);
+  /// Closes the pool and the chunk files, then removes the scratch
+  /// directory if this instance made it.
   ~ColumnBm();
 
   ColumnBm(const ColumnBm&) = delete;
   ColumnBm& operator=(const ColumnBm&) = delete;
 
-  bool disk_backed() const { return store_ != nullptr; }
-  /// Null for the memory backend.
   BufferPool* pool() { return pool_.get(); }
+  /// Directory holding the chunk files (Options::disk_dir or the scratch).
+  const std::string& dir() const { return dir_; }
 
   /// Copies a column's physical data into chunked storage under `file`.
   void Store(const std::string& file, const Column& col);
@@ -116,21 +115,20 @@ class ColumnBm {
 
   /// Returns block `b` (pointer + byte count), accounting the read. The
   /// payload stays valid for the BlockRef's lifetime: the ref carries the
-  /// buffer-pool pin on the disk backend (a no-op pin in memory mode), so
-  /// callers that stage a block across calls must keep the ref alive.
-  /// Throws std::runtime_error on I/O or checksum failure.
+  /// buffer-pool pin, so callers that stage a block across calls must keep
+  /// the ref alive. Throws std::runtime_error on I/O or checksum failure.
   struct BlockRef {
     const void* data = nullptr;
     size_t bytes = 0;
-    /// False when the read crossed the disk boundary (pool miss); the
-    /// memory backend always reports true.
+    /// True when the pool already held the block; false when the read went
+    /// to the chunk file (pool miss).
     bool cache_hit = true;
     BufferPool::Pin pin;
   };
   BlockRef ReadBlock(const std::string& file, int64_t b);
 
   /// Writes the per-table manifest listing `files` (all must be stored) via
-  /// the DiskStore; no-op Status::OK() for the memory backend.
+  /// the DiskStore.
   Status WriteTableManifest(const std::string& table,
                             const std::vector<std::string>& files);
 
@@ -165,9 +163,10 @@ class ColumnBm {
     stall_nanos_.store(0, std::memory_order_relaxed);
   }
 
-  /// If >0, memory-backend reads busy-wait to cap throughput at this many
-  /// bytes/sec, simulating an I/O-bound substrate. Ignored by the disk
-  /// backend (its I/O is real).
+  /// If >0, every logical block read (ReadBlock/ReadDecompressed, pool hit
+  /// or miss) busy-waits to cap throughput at this many bytes/sec,
+  /// simulating an I/O-bound substrate on hosts whose page cache makes the
+  /// chunk files nearly free to read.
   void set_simulated_bandwidth(double bytes_per_sec) {
     simulated_bandwidth_ = bytes_per_sec;
   }
@@ -175,33 +174,20 @@ class ColumnBm {
   size_t block_size() const { return block_size_; }
 
  private:
-  struct File {
-    std::vector<std::unique_ptr<char[]>> blocks;
-    std::vector<size_t> block_bytes;
-    bool compressed = false;
-    size_t value_width = 0;  // compressed files: bytes per decoded value
-    // Compressed files only (raw payloads carry no self-describing header):
-    std::vector<CodecId> codecs;
-    std::vector<int64_t> value_counts;
-  };
-
   void AccountRead(size_t bytes);
   void Throttle(size_t bytes);
-  /// Disk backend: cached footer metadata for `file` (loads on first use).
+  /// Cached footer metadata for `file` (loads on first use).
   const DiskStore::FileMeta& MetaFor(const std::string& file) const;
 
   size_t block_size_;
-
-  // Memory backend.
-  mutable std::mutex mem_mu_;
-  std::map<std::string, File> files_;
+  std::string dir_;
+  bool owns_dir_ = false;  // dir_ is this instance's scratch directory
 
   // Serializes EnsureStored (and manifest writes) across sessions. Ordered
-  // outermost: never taken while mem_mu_/meta_mu_ is held.
+  // outermost: never taken while meta_mu_ is held.
   std::mutex store_mu_;
   std::unique_ptr<SharedScanRegistry> shared_;
 
-  // Disk backend (null in memory mode).
   std::unique_ptr<DiskStore> store_;
   std::unique_ptr<BufferPool> pool_;
   mutable std::mutex meta_mu_;

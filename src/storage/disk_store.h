@@ -5,7 +5,7 @@
 // manifest, under one root directory. This is the layer the paper's ColumnBM
 // was meant to provide — "large (>1MB) chunks" of vertically fragmented data
 // on real files — so the engine's "Disk" hierarchy level is exercised by
-// actual I/O rather than a std::map simulation.
+// actual I/O.
 //
 // Chunk-file layout (one file per column, per-block codec-encoded payloads):
 //

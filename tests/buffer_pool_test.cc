@@ -467,7 +467,6 @@ TEST(ColumnBmDiskTest, StoreReadRoundTripAndPersistence) {
 
   {
     ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
-    ASSERT_TRUE(bm.disk_backed());
     bm.Store("t.col", col);
     EXPECT_EQ(bm.NumBlocks("t.col"), 3);
     int64_t expect = 0;

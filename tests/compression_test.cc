@@ -223,7 +223,7 @@ TEST(CodecMetricsTest, StoreCompressedAccountsPerCodec) {
 
   Column col(TypeId::kI64);
   for (int64_t i = 0; i < 200000; i++) col.AppendI64(i / 1000);
-  ColumnBm bm;  // memory backend
+  ColumnBm bm;
   size_t stored = bm.StoreCompressed("m.rle", col, 1 << 16, CodecId::kRle);
   EXPECT_EQ(bm.NumBlocks("m.rle"), 4);
   EXPECT_EQ(blocks->Get() - blocks0, 4u);

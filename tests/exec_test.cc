@@ -615,12 +615,12 @@ TEST(BmScanTest, MatchesInMemoryScanPlainAndCompressed) {
 
   ColumnBm bm;
   std::unique_ptr<Table> plain = run(std::make_unique<BmScanOp>(
-      &ctx, &bm, *t, std::vector<std::string>{"tag", "qty"}, false));
+      &ctx, &bm, *t, BmScanSpec{.cols = {"tag", "qty"}}));
   ExpectTablesEqual(*ram, *plain, 0.0);
 
   ColumnBm bm2;
   std::unique_ptr<Table> comp = run(std::make_unique<BmScanOp>(
-      &ctx, &bm2, *t, std::vector<std::string>{"tag", "qty"}, true));
+      &ctx, &bm2, *t, BmScanSpec{.cols = {"tag", "qty"}, .compress = true}));
   ExpectTablesEqual(*ram, *comp, 0.0);
   // Compressed image moved fewer bytes over the I/O boundary.
   EXPECT_LT(bm2.bytes_read(), bm.bytes_read());
@@ -634,7 +634,7 @@ TEST(BmScanTest, BlocksAreReusedAcrossQueries) {
     auto op = plan::HashAggr(
         &ctx,
         plan::OpPtr(std::make_unique<BmScanOp>(
-            &ctx, &bm, *t, std::vector<std::string>{"id"}, true)),
+            &ctx, &bm, *t, BmScanSpec{.cols = {"id"}, .compress = true})),
         {}, AG(Sum("s", Col("id"))));
     std::unique_ptr<Table> r = RunPlan(std::move(op), "r");
     EXPECT_DOUBLE_EQ(static_cast<double>(r->GetValue(0, 0).AsI64()),

@@ -3,17 +3,20 @@
 // indices (pruning soundness as a property test), join indices, ColumnBM.
 
 #include <cmath>
+#include <filesystem>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/profiling.h"
 #include "common/rng.h"
+#include "exec/plan.h"
 #include "storage/catalog.h"
 #include "storage/columnbm.h"
 #include "storage/compression.h"
 #include "storage/summary_index.h"
 #include "storage/table.h"
+#include "tests/test_util.h"
 
 namespace x100 {
 namespace {
@@ -372,13 +375,78 @@ TEST(ColumnBmTest, CompressedRoundTripAndAccounting) {
 TEST(ColumnBmTest, SimulatedBandwidthThrottles) {
   Column col(TypeId::kI64);
   for (int64_t i = 0; i < 200000; i++) col.AppendI64(i);  // 1.6MB
-  ColumnBm bm;
+  // A pool that holds the whole file whatever env X100_BM_BYTES says.
+  ColumnBm bm(ColumnBm::Options{.pool_bytes = 16 << 20});
   bm.Store("c", col);
   bm.set_simulated_bandwidth(100e6);  // 100MB/s -> 1.6MB takes >= 16ms
-  uint64_t t0 = NowNanos();
-  for (int64_t b = 0; b < bm.NumBlocks("c"); b++) bm.ReadBlock("c", b);
-  double ms = (NowNanos() - t0) / 1e6;
-  EXPECT_GE(ms, 14.0);
+  // The ceiling applies to logical reads: the first pass loads the blocks
+  // from the chunk file, the second is all pool hits, and both stall.
+  for (int pass = 0; pass < 2; pass++) {
+    SCOPED_TRACE(pass);
+    int64_t stall0 = bm.stall_nanos();
+    uint64_t t0 = NowNanos();
+    bool all_hits = true;
+    for (int64_t b = 0; b < bm.NumBlocks("c"); b++) {
+      all_hits = bm.ReadBlock("c", b).cache_hit && all_hits;
+    }
+    double ms = (NowNanos() - t0) / 1e6;
+    EXPECT_GE(ms, 14.0);
+    EXPECT_GE(bm.stall_nanos() - stall0, 14'000'000);
+    if (pass == 1) {
+      EXPECT_TRUE(all_hits);
+    }
+  }
+}
+
+TEST(ColumnBmTest, DefaultInstanceOwnsItsScratchDirectory) {
+  Column col(TypeId::kI64);
+  for (int64_t i = 0; i < 1000; i++) col.AppendI64(i);
+  std::string dir;
+  {
+    ColumnBm bm;
+    dir = bm.dir();
+    ASSERT_FALSE(dir.empty());
+    EXPECT_TRUE(std::filesystem::is_directory(dir));
+    EXPECT_EQ(std::filesystem::path(dir).parent_path(),
+              std::filesystem::temp_directory_path());
+    bm.Store("c", col);
+    EXPECT_EQ(bm.NumBlocks("c"), 1);
+    EXPECT_FALSE(std::filesystem::is_empty(dir));
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(ColumnBmTest, NamedDirectoryIsKept) {
+  testing::ScopedTempDir tmp;
+  Column col(TypeId::kI64);
+  for (int64_t i = 0; i < 1000; i++) col.AppendI64(i);
+  {
+    ColumnBm bm(ColumnBm::Options{.disk_dir = tmp.path()});
+    EXPECT_EQ(bm.dir(), tmp.path());
+    bm.Store("c", col);
+  }
+  ASSERT_TRUE(std::filesystem::is_directory(tmp.path()));
+  EXPECT_TRUE(std::filesystem::is_regular_file(
+      std::filesystem::path(tmp.path()) / "c"));
+}
+
+TEST(ColumnBmTest, BmScanWritesTheTableManifest) {
+  Catalog db;
+  Table* t = db.AddTable("data", {{"id", TypeId::kI32, false}});
+  for (int i = 0; i < 1000; i++) t->AppendRow({Value::I32(i)});
+  t->Freeze();
+  ColumnBm bm;
+  ExecContext ctx;
+  std::unique_ptr<Operator> scan =
+      plan::BmScan(&ctx, &bm, *t, {.cols = {"id"}, .compress = true});
+  scan->Open();
+  int64_t rows = 0;
+  while (VectorBatch* b = scan->Next()) rows += b->sel_count();
+  scan->Close();
+  EXPECT_EQ(rows, 1000);
+  EXPECT_TRUE(bm.Contains("data.id.cmp"));
+  EXPECT_TRUE(std::filesystem::is_regular_file(
+      std::filesystem::path(bm.dir()) / "data.manifest"));
 }
 
 }  // namespace

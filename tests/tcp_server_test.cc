@@ -293,6 +293,22 @@ TEST_F(TcpServerTest, MalformedAlgebraFailsAndTheConnectionKeepsServing) {
       "HashAggr(Table(region), [r_nope], [n = count()])",
       // unknown row-id column
       "Fetch1Join(Table(nation), region, n_nope, [r_name AS r])",
+      // unknown probe key, unknown probe output column
+      "HashJoin(Table(nation), Table(region), [n_nope], [r_regionkey], "
+      "[n_name])",
+      "HashJoin(Table(nation), Table(region), [n_regionkey], [r_regionkey], "
+      "[n_nope])",
+      // unknown build key; key lists of different lengths
+      "SemiJoin(Table(nation), Table(region), [n_regionkey], [r_nope], "
+      "[n_name])",
+      "AntiJoin(Table(nation), Table(region), [n_regionkey, n_nationkey], "
+      "[r_regionkey], [n_name])",
+      // an enum-coded key joined to a plain one
+      "HashJoin(Table(nation), Table(region), [n_name], [r_regionkey], "
+      "[n_name])",
+      // DirectAggr keys wider than 16 bits; more than two keys
+      "DirectAggr(Table(nation), [n_nationkey], [c = count()])",
+      "DirectAggr(Table(nation), [n_name, n_name, n_name], [c = count()])",
   };
   uint64_t id = 1;
   for (const char* plan : plans) {
